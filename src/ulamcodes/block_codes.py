@@ -169,14 +169,7 @@ class ReedSolomonCode(BlockCode):
         f = self.field
         for c in message:
             f.check(c)
-        coeffs = tuple(reversed(message))  # Horner wants the high coefficient first
-        out = []
-        for a in self.points:
-            acc = 0
-            for c in coeffs:
-                acc = f.add(f.mul(acc, a), c)
-            out.append(acc)
-        return tuple(out)
+        return tuple(f.eval_poly(message, a) for a in self.points)
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         word = self.check_word(word)
@@ -230,8 +223,7 @@ def _solve_linear(f: Field, rows: list[list[int]], rhs: list[int]) -> list[int] 
         aug[r] = [f.mul(inv, v) for v in aug[r]]
         for i in range(m):
             if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [f.sub(v, f.mul(factor, w)) for v, w in zip(aug[i], aug[r])]
+                aug[i] = f.sub_scaled(aug[i], aug[i][c], aug[r])
         pivots.append(c)
         r += 1
         if r == m:
@@ -258,8 +250,7 @@ def _poly_divmod(f: Field, num: Sequence[int], den: Sequence[int]):
         coeff = f.mul(num[i + len(den) - 1], inv_lead)
         quot[i] = coeff
         if coeff:
-            for j, dc in enumerate(den):
-                num[i + j] = f.sub(num[i + j], f.mul(coeff, dc))
+            num[i : i + len(den)] = f.sub_scaled(num[i : i + len(den)], coeff, den)
     while num and num[-1] == 0:
         num.pop()
     return quot, num

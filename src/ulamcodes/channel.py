@@ -23,8 +23,14 @@ class RelocationTrace:
     seed: int | None = None
 
     def replay(self, word: Sequence[int]) -> tuple[int, ...]:
+        """Apply the moves to word; a move outside [0, len(word)) raises ValueError."""
         out = list(word)
-        for src, dst in self.moves:
+        n = len(out)
+        for index, (src, dst) in enumerate(self.moves):
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(
+                    f"move {index} ({src}, {dst}) is out of range for length {n}"
+                )
             out.insert(dst, out.pop(src))
         return tuple(out)
 
@@ -74,8 +80,14 @@ def save_trace(path: str, trace: RelocationTrace) -> None:
 def load_trace(path: str) -> RelocationTrace:
     moves = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
-            if line.strip():
-                src, dst = (int(tok) for tok in line.split())
-                moves.append((src, dst))
+        for lineno, line in enumerate(fh, 1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 2 or not all(tok.isdigit() for tok in tokens):
+                raise ValueError(
+                    f"{path}:{lineno}: expected two non-negative positions "
+                    f"'src dst', got {line.strip()!r}"
+                )
+            moves.append((int(tokens[0]), int(tokens[1])))
     return RelocationTrace(moves=tuple(moves))

@@ -7,10 +7,17 @@ is the coefficient of x^i; the reducing polynomial is the lexicographically
 first monic irreducible of degree m, making every field reproducible from
 its order alone.
 
-Intended for desk-scale orders (tables are built eagerly for orders up to
-512); construction cost grows quadratically with the order.
+In characteristic 2 the packing makes addition and subtraction a bitwise
+XOR and negation the identity; odd characteristics add digit by digit.
+Multiplication and inversion read tables built eagerly for orders up to
+512 (construction cost grows quadratically with the order), and the two
+vector methods, ``sub_scaled`` for an elimination row and ``eval_poly``
+for Horner evaluation, read one multiplication-table row per call instead
+of making a method call per element.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 from .errors import ParameterError
 
@@ -70,6 +77,8 @@ class Field:
         return a
 
     def add(self, a: int, b: int) -> int:
+        if self.characteristic == 2:
+            return a ^ b
         if self.degree == 1:
             return (a + b) % self.order
         p = self.characteristic
@@ -82,6 +91,8 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
+        if self.characteristic == 2:
+            return a
         if self.degree == 1:
             return (-a) % self.order
         p = self.characteristic
@@ -93,6 +104,8 @@ class Field:
         return out
 
     def sub(self, a: int, b: int) -> int:
+        if self.characteristic == 2:
+            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -119,6 +132,25 @@ class Field:
             base = self.mul(base, base)
             e >>= 1
         return out
+
+    def sub_scaled(self, u: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
+        """The row u - c*v, element by element (zip stops at the shorter)."""
+        if self._mul_table is None or self.characteristic != 2:
+            return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
+        row = self._mul_table[c * self.order : (c + 1) * self.order]
+        return [x ^ row[y] for x, y in zip(u, v)]
+
+    def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
+        """Horner evaluation at x of the polynomial with ascending coefficients."""
+        acc = 0
+        if self._mul_table is None or self.characteristic != 2:
+            for c in reversed(coeffs):
+                acc = self.add(self.mul(acc, x), c)
+            return acc
+        row = self._mul_table[x * self.order : (x + 1) * self.order]
+        for c in reversed(coeffs):
+            acc = row[acc] ^ c
+        return acc
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.degree == 1:

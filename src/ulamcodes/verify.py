@@ -110,10 +110,14 @@ def audit_pairwise(
         tables: dict[int, list[int]] = {}
         words_cache: dict[int, tuple[int, ...]] = {}
 
+        def word_of(x: int) -> tuple[int, ...]:
+            if x not in words_cache:
+                words_cache[x] = encode(x, params)
+            return words_cache[x]
+
         def table_of(x: int) -> list[int]:
             if x not in tables:
-                words_cache[x] = encode(x, params)
-                tables[x] = _inverse(words_cache[x])
+                tables[x] = _inverse(word_of(x))
             return tables[x]
 
         injective = True
@@ -123,8 +127,7 @@ def audit_pairwise(
             j = rng.randrange(m - 1)
             if j >= i:
                 j += 1
-            table_of(i)
-            d = _fast_ulam(tables[i], words_cache.setdefault(j, encode(j, params)))
+            d = _fast_ulam(table_of(i), word_of(j))
             pairs_checked += 1
             if d == 0:
                 injective = False

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -107,6 +108,31 @@ class TestReedSolomon:
             corrupted = list(word)
             corrupted[3] = (corrupted[3] + 1) % 9
             assert code.decode_word(tuple(corrupted)) == x
+
+    @pytest.mark.parametrize("field_order,n,k", [(8, 7, 3), (16, 6, 2)])
+    def test_decode_matches_brute_force_nearest_codeword(self, field_order, n, k):
+        code = rs_code(field_order, n, k)
+        words = list(code.codewords())
+        rng = random.Random(field_order * 100 + n)
+        inside = beyond = 0
+        for _ in range(400):
+            # corrupt a random codeword in 0..n positions, so that both
+            # sides of the decoding radius are drawn
+            received = list(rng.choice(words))
+            for i in rng.sample(range(n), rng.randrange(n + 1)):
+                received[i] = rng.randrange(field_order)
+            received = tuple(received)
+            near = [x for x, w in enumerate(words)
+                    if hamming_distance(w, received) <= code.decoding_radius]
+            assert len(near) <= 1
+            result = code.decode_word(received)
+            if near:
+                inside += 1
+                assert result == near[0]
+            else:
+                beyond += 1
+                assert isinstance(result, DecodeFailure)
+        assert inside > 50 and beyond > 50
 
     def test_wrong_message_shape(self):
         code = rs_code(5, 5, 2)

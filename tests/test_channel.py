@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 
 import pytest
@@ -40,6 +41,16 @@ class TestRelocate:
         assert trace1 == trace2
         assert trace1.replay(word) == out1
 
+    def test_replay_rejects_out_of_range_moves(self):
+        with pytest.raises(ValueError, match="move 0 "):
+            RelocationTrace(moves=((0, 99),)).replay((0, 1, 2, 3))
+        with pytest.raises(ValueError, match="move 1 "):
+            RelocationTrace(moves=((0, 3), (4, 0))).replay((0, 1, 2, 3))
+        with pytest.raises(ValueError, match="move 0 "):
+            RelocationTrace(moves=((-1, 2),)).replay((0, 1, 2, 3))
+        with pytest.raises(ValueError, match="move 0 "):
+            RelocationTrace(moves=((1, -4),)).replay((0, 1, 2, 3))
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             relocate((0, 1, 2), 4, seed=0)
@@ -75,3 +86,10 @@ class TestTraceFormat:
         loaded = load_trace(str(path))
         assert loaded.moves == trace.moves
         assert loaded.replay(tuple(range(9))) == trace.replay(tuple(range(9)))
+
+    @pytest.mark.parametrize("bad", ["2 x", "3", "1 2 3", "-1 2", "0 +1"])
+    def test_bad_token_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "trace.txt"
+        path.write_text(f"0 1\n\n{bad}\n", encoding="ascii")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
+            load_trace(str(path))

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -76,3 +77,53 @@ def test_multiplicative_group_order():
         f = Field(order)
         for a in range(1, order):
             assert f.pow(a, order - 1) == 1
+
+
+def digitwise(f, a, b, sign):
+    """a + sign*b added base-p digit by digit, written apart from Field."""
+    p = f.characteristic
+    out, shift = 0, 1
+    for _ in range(f.degree):
+        out += ((a % p + sign * (b % p)) % p) * shift
+        a //= p
+        b //= p
+        shift *= p
+    return out
+
+
+@pytest.mark.parametrize("order", PRIME_POWERS_TO_64)
+def test_add_sub_neg_match_digitwise_reference(order):
+    f = Field(order)
+    for a, b in itertools.product(range(order), repeat=2):
+        assert f.add(a, b) == digitwise(f, a, b, 1)
+        assert f.sub(a, b) == digitwise(f, a, b, -1)
+    for a in range(order):
+        assert f.neg(a) == digitwise(f, 0, a, -1)
+
+
+def check_vector_methods(f, rows):
+    rng = random.Random(f.order)
+    for _ in range(rows):
+        length = rng.randrange(0, 12)
+        u = [rng.randrange(f.order) for _ in range(length)]
+        v = [rng.randrange(f.order) for _ in range(length)]
+        c = rng.randrange(f.order)
+        assert f.sub_scaled(u, c, v) == [f.sub(x, f.mul(c, y)) for x, y in zip(u, v)]
+        x = rng.randrange(f.order)
+        expected = 0
+        for j, coeff in enumerate(u):
+            expected = f.add(expected, f.mul(coeff, f.pow(x, j)))
+        assert f.eval_poly(u, x) == expected
+
+
+@pytest.mark.parametrize("order", PRIME_POWERS_TO_64)
+def test_vector_methods_match_scalar_composition(order):
+    check_vector_methods(Field(order), 300)
+
+
+def test_vector_methods_without_tables():
+    # above the table limit both vector methods take the scalar path
+    f = Field(1024)
+    check_vector_methods(f, 20)
+    assert f.add(0b1011, 0b0110) == 0b1101 == f.sub(0b1011, 0b0110)
+    assert f.neg(77) == 77

@@ -4,6 +4,7 @@ import math
 import pytest
 
 import ulamcodes as uc
+from ulamcodes import verify
 from ulamcodes.block_codes import BlockCode
 from ulamcodes.errors import ParameterError
 from ulamcodes.verify import audit_pairwise, decoder_sweep, rate_report, report_json
@@ -81,6 +82,20 @@ class TestAuditPairwise:
         assert report.pairs_checked == 60
         assert report.min_distance >= params.distance_bound
         assert report.passed
+
+    def test_sampled_audit_encodes_each_message_once(self, swap_instance, monkeypatch):
+        expected = audit_pairwise(swap_instance, sample_pairs=5000, seed=4)
+        encoded = []
+        real = verify.encode
+
+        def counting_encode(x, params):
+            encoded.append(x)
+            return real(x, params)
+
+        monkeypatch.setattr(verify, "encode", counting_encode)
+        report = audit_pairwise(swap_instance, sample_pairs=5000, seed=4)
+        assert len(encoded) == len(set(encoded)) <= swap_instance.message_count
+        assert report.as_dict(timings=False) == expected.as_dict(timings=False)
 
     def test_report_serialization(self, swap_instance):
         report = audit_pairwise(swap_instance, sample_pairs=50, seed=3)
