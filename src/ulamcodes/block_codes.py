@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 from .errors import ParameterError
 from .fields import Field
-from .perm_core import from_digits, to_digits
+from .perm_core import from_digits, read_int_rows, to_digits
 
 GV_SEARCH_LIMIT = 10_000_000
 
@@ -501,15 +501,10 @@ def save_explicit_code(path: str, code: BlockCode) -> None:
 
 
 def load_explicit_code(path: str, label: str | None = None) -> ExplicitCode:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"bad explicit-code header in {path!r}")
-        alphabet_size, length, size = (int(tok) for tok in header)
-        words = []
-        for line in fh:
-            if line.strip():
-                words.append(tuple(int(tok) for tok in line.split()))
+    rows = read_int_rows(path)
+    if not rows or len(rows[0]) != 3:
+        raise ValueError(f"bad explicit-code header in {path!r}")
+    (alphabet_size, length, size), words = rows[0], rows[1:]
     if len(words) != size or any(len(w) != length for w in words):
         raise ValueError(f"explicit-code body of {path!r} disagrees with header")
     return ExplicitCode(alphabet_size, words, label=label or path)

@@ -12,28 +12,37 @@ budget) keeping those whose LCS with every kept permutation stays within
 a bound.
 
 Certification is always exhaustive: the stored maximum pairwise LCS is
-recomputed over all pairs at construction time.
+recomputed over all pairs at construction time. The full pairwise LCS
+table is kept too; the decoder's group guess prunes its search with it.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .block_codes import BlockCode
 from .errors import ParameterError
-from .perm_core import from_digits, lcs_length, validate_permutation
+from .perm_core import from_digits, lcs_length, read_int_rows, validate_permutation
 
 
 @dataclass(frozen=True)
 class GroundSet:
-    """p distinct permutations of [q] plus their exact max pairwise LCS."""
+    """
+    p distinct permutations of [q] plus their exact max pairwise LCS.
+
+    pair_lcs[i][j] is the LCS of perms[i] and perms[j] (q on the
+    diagonal); by_first_symbol[s] lists, ascending, the indices of the
+    permutations that start with symbol s.
+    """
 
     q: int
     perms: tuple[tuple[int, ...], ...]
     certified_max_lcs: int
     worst_pair: tuple[int, int] | None
+    pair_lcs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    by_first_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -51,6 +60,17 @@ class GroundSetReport:
     passed: bool
 
 
+def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
+    """The pairwise LCS table of perms, its off-diagonal max and the first pair reaching it."""
+    table = [[len(w)] * len(perms) for w in perms]
+    max_lcs, worst = 0, None
+    for i, j in itertools.combinations(range(len(perms)), 2):
+        l = table[i][j] = table[j][i] = lcs_length(perms[i], perms[j])
+        if l > max_lcs:
+            max_lcs, worst = l, (i, j)
+    return tuple(map(tuple, table)), max_lcs, worst
+
+
 def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
     seen = set()
     for word in perms:
@@ -60,12 +80,16 @@ def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
         if word in seen:
             raise ParameterError(f"duplicate ground permutation {word!r}")
         seen.add(word)
-    max_lcs, worst = 0, None
-    for i, j in itertools.combinations(range(len(perms)), 2):
-        l = lcs_length(perms[i], perms[j])
-        if l > max_lcs:
-            max_lcs, worst = l, (i, j)
-    return GroundSet(q=q, perms=tuple(perms), certified_max_lcs=max_lcs, worst_pair=worst)
+    pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
+    by_first = tuple(tuple(c for c, w in enumerate(perms) if w[0] == s) for s in range(q))
+    return GroundSet(
+        q=q,
+        perms=tuple(perms),
+        certified_max_lcs=max_lcs,
+        worst_pair=worst,
+        pair_lcs=pair_lcs,
+        by_first_symbol=by_first,
+    )
 
 
 def ground_set_from_perms(q: int, perms: Iterable[Sequence[int]]) -> GroundSet:
@@ -151,11 +175,7 @@ def brute_force_ground_set(
 
 def verify_ground_set(ground: GroundSet, threshold: int) -> GroundSetReport:
     """Exhaustively recompute the max pairwise LCS and compare with threshold."""
-    max_lcs, worst = 0, None
-    for i, j in itertools.combinations(range(ground.p), 2):
-        l = lcs_length(ground.perms[i], ground.perms[j])
-        if l > max_lcs:
-            max_lcs, worst = l, (i, j)
+    _, max_lcs, worst = _pairwise_lcs(ground.perms)
     return GroundSetReport(
         max_pairwise_lcs=max_lcs,
         worst_pair=worst,
@@ -175,15 +195,10 @@ def save_ground_set(path: str, ground: GroundSet) -> None:
 
 
 def load_ground_set(path: str) -> GroundSet:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"bad ground-set header in {path!r}")
-        q, p, claimed = (int(tok) for tok in header)
-        perms = []
-        for line in fh:
-            if line.strip():
-                perms.append(tuple(int(tok) for tok in line.split()))
+    rows = read_int_rows(path)
+    if not rows or len(rows[0]) != 3:
+        raise ValueError(f"bad ground-set header in {path!r}")
+    (q, p, claimed), perms = rows[0], rows[1:]
     if len(perms) != p:
         raise ValueError(f"ground-set body of {path!r} disagrees with header")
     ground = _certify(q, perms)

@@ -67,6 +67,21 @@ def inverse(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _lis_length(pos: Sequence[int] | dict[int, int], word: Iterable[int]) -> int:
+    # the LIS of word relabeled through the position table pos, by patience
+    # sorting: the one LIS kernel behind lcs_length and the audits. It does
+    # no validation; a symbol missing from a dict pos raises KeyError
+    piles: list[int] = []
+    for sym in word:
+        v = pos[sym]
+        j = bisect_left(piles, v)
+        if j == len(piles):
+            piles.append(v)
+        else:
+            piles[j] = v
+    return len(piles)
+
+
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
     """
     Length of a longest common subsequence of two distinct-symbol strings.
@@ -83,20 +98,14 @@ def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
     >>> lcs_length((0, 2, 1, 3), (3, 0, 1, 2))
     2
     """
-    check_distinct(a, "first string")
+    pos_in_a = dict(zip(a, range(len(a))))
+    if len(pos_in_a) != len(a):
+        raise ValueError(f"first string has repeated symbols: {tuple(a)!r}")
     check_distinct(b, "second string")
-    pos_in_a = {sym: i for i, sym in enumerate(a)}
-    piles: list[int] = []
-    for sym in b:
-        i = pos_in_a.get(sym)
-        if i is None:
-            continue
-        j = bisect_left(piles, i)
-        if j == len(piles):
-            piles.append(i)
-        else:
-            piles[j] = i
-    return len(piles)
+    try:
+        return _lis_length(pos_in_a, b)
+    except KeyError:  # b has symbols a lacks: they can never match
+        return _lis_length(pos_in_a, [sym for sym in b if sym in pos_in_a])
 
 
 def lcs_length_dp(a: Sequence[int], b: Sequence[int]) -> int:
@@ -203,13 +212,35 @@ def parse_permutation(line: str) -> tuple[int, ...]:
     return word
 
 
+def read_int_rows(path: str) -> list[tuple[int, ...]]:
+    """
+    The non-blank lines of a text file of space-separated decimal integers.
+    A token that is not an integer raises ValueError naming path:line.
+    """
+    rows = []
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(tuple(int(tok) for tok in line.split()))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: expected integers, got {line.strip()!r}"
+                ) from None
+    return rows
+
+
 def read_permutations(path: str) -> list[tuple[int, ...]]:
     """Read all permutations from a text file, one per line; blank lines skipped."""
     perms = []
     with open(path, encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                perms.append(parse_permutation(line))
+                try:
+                    perms.append(parse_permutation(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
     return perms
 
 

@@ -27,6 +27,18 @@ string is corrected with C's Hamming decoder. When C decodes up to half
 its distance, any input strictly within a quarter of the distance bound
 of a codeword decodes to exactly that codeword.
 
+The per-group guess is an exact nearest-neighbour search. A group is
+read once as its rank pattern r, the x-indices of its symbols in
+received order; r is a permutation of [q], and relabeling symbols by x
+does not change an Ulam distance, so each candidate c is scored as
+ulam_distance(r, sigma_c). An exact match is looked up first. Otherwise
+the candidate starting with r[0] is scored, then the rest in index
+order, skipping any c with (q - LCS(sigma_best, sigma_c)) - best_d above
+best_d (or equal to it, with c > best): by the triangle inequality c is
+at least that far from r, so it cannot win. The pairwise LCS table comes
+from the ground set's certification. The result is the full scan's
+argmin, ties going to the smallest index.
+
 Everything here is pure; params objects are immutable after validation.
 """
 from __future__ import annotations
@@ -279,21 +291,29 @@ def encode(x: int, params: UlamCodeParams) -> tuple[int, ...]:
 
 # ------------------------------------------------------------------ decoding
 
-def _best_symbol(received_order: Sequence[int], group_by_x: Sequence[int], ground: GroundSet) -> int:
+def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     """
-    The index c minimizing the Ulam distance between the received relative
-    order of a group's symbols and the order sigma_c would produce; ties
-    go to the smallest c.
+    The index c minimizing ulam_distance(rank, sigma_c) for a group's rank
+    pattern (a permutation of [q]); ties go to the smallest c. The pruned
+    search is described in the module docstring.
     """
-    best_c, best_d = 0, None
-    for c, sigma in enumerate(ground.perms):
-        candidate = tuple(group_by_x[y] for y in sigma)
-        d = ulam_distance(received_order, candidate)
-        if best_d is None or d < best_d:
-            best_c, best_d = c, d
-            if d == 0:
-                break
-    return best_c
+    perms = ground.perms
+    starts = ground.by_first_symbol[rank[0]]
+    for c in starts:
+        if perms[c] == rank:
+            return c
+    best = start = starts[0] if starts else 0
+    best_d = ulam_distance(rank, perms[best])
+    q = len(rank)
+    row = ground.pair_lcs[best]
+    for c in range(len(perms)):
+        lower = q - row[c] - best_d  # d(rank, sigma_c) >= lower by the triangle inequality
+        if c == start or lower > best_d or (lower == best_d and c > best):
+            continue
+        d = ulam_distance(rank, perms[c])
+        if d < best_d or (d == best_d and c < best):
+            best, best_d, row = c, d, ground.pair_lcs[c]
+    return best
 
 
 def guess_shuffler_symbol(
@@ -313,11 +333,11 @@ def guess_shuffler_symbol(
         raise ParameterError("group key needs len(alpha) == stage - 1")
     ell = len(key.alpha) + 1 + len(key.beta)
     positions = group_positions(key, q, ell)
-    group_by_x = tuple(prev_star[m] for m in positions)
-    received_order = restrict(received, group_by_x)
-    if len(received_order) != q:
+    x_of = {prev_star[m]: x for x, m in enumerate(positions)}
+    rank = tuple(x_of[sym] for sym in restrict(received, x_of))
+    if len(rank) != q:
         raise ParameterError("received permutation misses group symbols")
-    return _best_symbol(received_order, group_by_x, ground)
+    return _best_symbol(rank, ground)
 
 
 @dataclass(frozen=True)
@@ -356,10 +376,10 @@ def decode(pi: Sequence[int], params: UlamCodeParams) -> DecodeResult | DecodeFa
         for slot in range(groups):
             hi, lo = divmod(slot, step)
             base = hi * q * step + lo
-            group_by_x = tuple(prev_star[base + x * step] for x in range(q))
-            spots = sorted(pos_of[sym] for sym in group_by_x)
-            received_order = tuple(pi[j] for j in spots)
-            guessed.append(_best_symbol(received_order, group_by_x, ground))
+            # the group's rank pattern: its x-indices in received order
+            spots = [pos_of[sym] for sym in prev_star[base : base + q * step : step]]
+            rank = tuple(sorted(range(q), key=spots.__getitem__))
+            guessed.append(_best_symbol(rank, ground))
         idx = params.code.decode_word(tuple(guessed))
         if isinstance(idx, DecodeFailure):
             return DecodeFailure(f"stage {i}: {idx.reason}")

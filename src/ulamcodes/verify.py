@@ -13,31 +13,16 @@ import json
 import math
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .block_codes import DecodeFailure
 from .channel import relocate
 from .errors import ParameterError
-from .perm_core import ulam_distance
+from .perm_core import _lis_length, inverse, ulam_distance
 from .ulam_code import UlamCodeParams, code_bounds, decode, encode
 
 PAIR_BUDGET = 10_000_000
-
-
-def _fast_ulam(pos_a: list[int], b: tuple[int, ...]) -> int:
-    # patience LIS of b relabeled through a's position table; callers
-    # guarantee both are permutations of the same [n]
-    piles: list[int] = []
-    for sym in b:
-        v = pos_a[sym]
-        j = bisect_left(piles, v)
-        if j == len(piles):
-            piles.append(v)
-        else:
-            piles[j] = v
-    return len(b) - len(piles)
 
 
 @dataclass(frozen=True)
@@ -79,7 +64,7 @@ def audit_pairwise(
     injectivity is certified on the sampled pairs only.
     """
     start = time.monotonic()
-    m = params.message_count
+    m, n = params.message_count, params.n
     total_pairs = m * (m - 1) // 2
     dist_lower = params.distance_bound
     min_d: int | None = None
@@ -93,11 +78,13 @@ def audit_pairwise(
         mode = "exhaustive"
         words = [encode(x, params) for x in range(m)]
         injective = len(set(words)) == m
-        position_tables = [list(_inverse(w)) for w in words]
+        # the Ulam distance of two codewords is n minus the LIS of one
+        # relabeled through the other's position table
+        position_tables = [inverse(w) for w in words]
         for i in range(m):
             pos_i = position_tables[i]
             for j in range(i + 1, m):
-                d = _fast_ulam(pos_i, words[j])
+                d = n - _lis_length(pos_i, words[j])
                 if min_d is None or d < min_d:
                     min_d, worst = d, (i, j)
         pairs_checked = total_pairs
@@ -107,7 +94,7 @@ def audit_pairwise(
             raise ParameterError("sampled audit needs a seed")
         mode = f"sample({sample_pairs})"
         rng = random.Random(seed)
-        tables: dict[int, list[int]] = {}
+        tables: dict[int, tuple[int, ...]] = {}
         words_cache: dict[int, tuple[int, ...]] = {}
 
         def word_of(x: int) -> tuple[int, ...]:
@@ -115,9 +102,9 @@ def audit_pairwise(
                 words_cache[x] = encode(x, params)
             return words_cache[x]
 
-        def table_of(x: int) -> list[int]:
+        def table_of(x: int) -> tuple[int, ...]:
             if x not in tables:
-                tables[x] = _inverse(word_of(x))
+                tables[x] = inverse(word_of(x))
             return tables[x]
 
         injective = True
@@ -127,7 +114,7 @@ def audit_pairwise(
             j = rng.randrange(m - 1)
             if j >= i:
                 j += 1
-            d = _fast_ulam(table_of(i), word_of(j))
+            d = n - _lis_length(table_of(i), word_of(j))
             pairs_checked += 1
             if d == 0:
                 injective = False
@@ -138,7 +125,7 @@ def audit_pairwise(
     return AuditReport(
         q=params.q,
         ell=params.ell,
-        n=params.n,
+        n=n,
         message_count=m,
         mode=mode,
         pairs_checked=pairs_checked,
@@ -150,13 +137,6 @@ def audit_pairwise(
         seed=seed,
         elapsed_seconds=round(time.monotonic() - start, 3),
     )
-
-
-def _inverse(word) -> list[int]:
-    inv = [0] * len(word)
-    for i, x in enumerate(word):
-        inv[x] = i
-    return inv
 
 
 @dataclass(frozen=True)

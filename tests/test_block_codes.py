@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -208,6 +209,12 @@ class TestExplicitCode:
         assert list(loaded.codewords()) == list(code.codewords())
         assert loaded.min_distance == code.min_distance
         assert loaded.alphabet_size == code.alphabet_size
+
+    def test_file_bad_token_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 3 2\n0 0 x\n1 1 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
+            load_explicit_code(str(path))
 
     def test_file_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -186,3 +186,30 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text("qq=4\n")
     assert main(["build", "--config", str(cfg)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, text, line",
+    [
+        ("code", "4 4 2\n0 0 0 0\n1 1 x 1\n", 3),
+        ("ground", "4 4 x\n0 1 2 3\n", 1),
+        ("perm", "0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 x\n", 1),
+    ],
+)
+def test_bad_file_token_exits_1_with_path_and_line(tmp_path, capsys, kind, text, line):
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_text(text)
+    perm = tmp_path / "word.txt"
+    perm.write_text(" ".join(str(i) for i in range(16)) + "\n")
+    flags = {"--q": "4", "--ell": "2", "--ground-set": "xor:all", "--code": "gv:4,4,2"}
+    if kind == "code":
+        flags["--code"] = f"file:{bad}"
+    elif kind == "ground":
+        flags["--ground-set"] = f"file:{bad}"
+    else:
+        perm = bad
+    argv = ["decode", "--perm", str(perm)] + [tok for pair in flags.items() for tok in pair]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{line}: ")
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -12,7 +13,7 @@ from ulamcodes.ground_set import (
     verify_ground_set,
     xor_ground_set,
 )
-from ulamcodes.perm_core import lcs_length_dp, to_digits
+from ulamcodes.perm_core import lcs_length, lcs_length_dp, to_digits
 
 
 class TestXorConstruction:
@@ -149,6 +150,31 @@ class TestCertification:
             ground_set_from_perms(3, [(0, 1, 1)])
 
 
+class TestPairTable:
+    @pytest.mark.parametrize(
+        "ground",
+        [
+            xor_ground_set(8, identity_code(2, 3)),
+            xor_ground_set(16, greedy_gv_code(2, 4, 2)),
+            brute_force_ground_set(5, None, 3),
+            ground_set_from_perms(4, [(3, 1, 0, 2), (0, 1, 2, 3), (3, 0, 2, 1)]),
+        ],
+    )
+    def test_pair_lcs_and_first_symbol_index(self, ground):
+        table = ground.pair_lcs
+        assert len(table) == ground.p and all(len(row) == ground.p for row in table)
+        for i, j in itertools.product(range(ground.p), repeat=2):
+            assert table[i][j] == table[j][i] == lcs_length(ground.perms[i], ground.perms[j])
+        assert all(table[i][i] == ground.q for i in range(ground.p))
+        assert ground.certified_max_lcs == max(
+            (table[i][j] for i, j in itertools.combinations(range(ground.p), 2)), default=0
+        )
+        assert len(ground.by_first_symbol) == ground.q
+        for s, cs in enumerate(ground.by_first_symbol):
+            assert list(cs) == sorted(cs) and all(ground.perms[c][0] == s for c in cs)
+        assert sorted(c for cs in ground.by_first_symbol for c in cs) == list(range(ground.p))
+
+
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         ground = xor_ground_set(8, greedy_gv_code(2, 3, 2))
@@ -161,4 +187,14 @@ class TestFileFormat:
         path = tmp_path / "ground.txt"
         path.write_text("3 2 1\n0 1 2\n0 2 1\n")  # true max LCS is 2, header lies
         with pytest.raises(ValueError):
+            load_ground_set(str(path))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("4 2 1\n0 1 2 3\n3 2 x 0\n", 3), ("4 2 z\n0 1 2 3\n3 2 1 0\n", 1)],
+    )
+    def test_bad_token_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "ground.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
             load_ground_set(str(path))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +136,69 @@ class TestUlamDistance:
             assert abs(after - before) <= 1
 
 
+class TestErrorContract:
+    # lcs_length needs distinct symbols in each string; ulam_distance needs
+    # that and equal symbol sets. Nothing else is rejected.
+    LCS_BAD = [
+        ((0, 0, 1), (0, 1, 2)),
+        ((0, 1, 2), (2, 1, 2)),
+        ((5, 5), (5, 5)),
+    ]
+    LCS_OK = [
+        ((0, 1), (2, 3)),
+        ((0, 5, 1), (5, 9)),
+        ((0, 1, 2), (2, 1)),
+        ((), (4, 3)),
+        ((), ()),
+    ]
+    ULAM_BAD = LCS_BAD + [
+        ((0, 1, 2), (0, 1, 3)),
+        ((0, 1, 2), (2, 1)),
+        ((0, 1), (1, 0, 2)),
+        ((0, 1), (0, 1, 1)),
+        ((0, 1, 1), (1, 0)),
+        ((), (0,)),
+    ]
+
+    @pytest.mark.parametrize("a, b", LCS_BAD)
+    def test_lcs_rejects(self, a, b):
+        with pytest.raises(ValueError):
+            lcs_length(a, b)
+        with pytest.raises(ValueError):
+            lcs_length_dp(a, b)
+
+    @pytest.mark.parametrize("a, b", LCS_OK)
+    def test_lcs_accepts(self, a, b):
+        assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+    @pytest.mark.parametrize("a, b", ULAM_BAD)
+    def test_ulam_rejects(self, a, b):
+        with pytest.raises(ValueError):
+            ulam_distance(a, b)
+        with pytest.raises(ValueError):
+            ulam_distance(b, a)
+
+    @given(
+        st.lists(st.integers(0, 6), max_size=7),
+        st.lists(st.integers(0, 6), max_size=7),
+    )
+    @settings(max_examples=300)
+    def test_raises_exactly_on_invalid_strings(self, a, b):
+        distinct = len(set(a)) == len(a) and len(set(b)) == len(b)
+        try:
+            got = lcs_length(a, b)
+        except ValueError:
+            assert not distinct
+        else:
+            assert distinct and got == lcs_length_dp(a, b)
+        try:
+            d = ulam_distance(a, b)
+        except ValueError:
+            assert not (distinct and set(a) == set(b))
+        else:
+            assert distinct and set(a) == set(b) and d == len(a) - lcs_length_dp(a, b)
+
+
 class TestSubadditivity:
     @given(
         st.integers(2, 32).flatmap(
@@ -217,3 +281,12 @@ class TestTextFormat:
             parse_permutation("0 0 1")
         with pytest.raises(ValueError):
             parse_permutation("0 1 x")
+
+    @pytest.mark.parametrize(
+        "text, line", [("0 1 2\n\n2 x 0\n", 3), ("0 1 2\n0 0 1\n", 2)]
+    )
+    def test_read_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "perms.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+            read_permutations(str(path))

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ulamcodes as uc
+from ulamcodes import ulam_code
 from ulamcodes.block_codes import DecodeFailure
 from ulamcodes.errors import ParameterError
 from ulamcodes.perm_core import (
@@ -19,6 +22,7 @@ from ulamcodes.perm_core import (
 )
 from ulamcodes.ulam_code import (
     GroupKey,
+    _best_symbol,
     group_positions,
     group_slot,
     slot_group,
@@ -38,6 +42,20 @@ def reference_stage(pi, stage, shuffler, perms, q, ell):
         src = from_digits(alpha + (y,) + beta, q)
         out[m] = pi[src]
     return tuple(out)
+
+
+def reference_best_symbol(received_order, group_by_x, ground):
+    """Full scan: the c minimizing the Ulam distance between the received
+    order and sigma_c's reordering of group_by_x, ties to the smallest c."""
+    best_c, best_d = 0, None
+    for c, sigma in enumerate(ground.perms):
+        candidate = tuple(group_by_x[y] for y in sigma)
+        d = ulam_distance(received_order, candidate)
+        if best_d is None or d < best_d:
+            best_c, best_d = c, d
+            if d == 0:
+                break
+    return best_c
 
 
 def reference_encode(shufflers, q, perms):
@@ -332,6 +350,96 @@ class TestGuessSymbol:
         key = GroupKey(stage=1, alpha=(), beta=())
         received = (1, 0, 3, 2)
         assert uc.guess_shuffler_symbol(received, identity(4), key, ground4) == 0
+
+
+def _shuffled_subset(perms, size, seed):
+    rng = random.Random(seed)
+    return rng.sample(list(perms), size)
+
+
+# XOR sets hold at most one permutation per first symbol; the brute-force
+# and shuffled sets hold several, in no particular index order
+XOR_GROUNDS = [
+    uc.xor_ground_set(8, uc.identity_code(2, 3)),
+    uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)),
+    uc.xor_ground_set(16, uc.identity_code(2, 4)),
+    uc.xor_ground_set(16, uc.greedy_gv_code(2, 4, 2)),
+    uc.xor_ground_set(32, uc.identity_code(2, 5)),
+    uc.xor_ground_set(32, uc.greedy_gv_code(2, 5, 2)),
+]
+SHARED_FIRST_GROUNDS = [
+    uc.brute_force_ground_set(5, None, 3),
+    uc.brute_force_ground_set(6, 12, 3, seed=5),
+    uc.brute_force_ground_set(7, None, 4, seed=5, sample_budget=3000),
+    uc.ground_set_from_perms(5, _shuffled_subset(itertools.permutations(range(5)), 40, 3)),
+    uc.ground_set_from_perms(8, _shuffled_subset(itertools.permutations(range(8)), 60, 4)),
+]
+
+
+def _relocated(word, moves):
+    out = list(word)
+    for src, dst in moves:
+        out.insert(dst % len(out), out.pop(src % len(out)))
+    return tuple(out)
+
+
+@st.composite
+def rank_patterns(draw, grounds):
+    """A ground set and a rank pattern: uniform, or a ground permutation after a few relocations."""
+    ground = draw(st.sampled_from(grounds))
+    if draw(st.booleans()):
+        return ground, tuple(draw(st.permutations(range(ground.q))))
+    sigma = ground.perms[draw(st.integers(0, ground.p - 1))]
+    moves = draw(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), max_size=6))
+    return ground, _relocated(sigma, moves)
+
+
+def _check_against_full_scan(ground, rank, relabel_seed):
+    # the full scan sees the group's symbols under an arbitrary labeling
+    group_by_x = random.Random(relabel_seed).sample(range(10 * ground.q), ground.q)
+    received_order = tuple(group_by_x[x] for x in rank)
+    assert _best_symbol(rank, ground) == reference_best_symbol(received_order, group_by_x, ground)
+
+
+class TestPrunedGuess:
+    def test_shared_first_symbol_grounds_share(self):
+        for ground in SHARED_FIRST_GROUNDS:
+            assert max(len(cs) for cs in ground.by_first_symbol) > 1
+        for ground in XOR_GROUNDS:
+            assert max(len(cs) for cs in ground.by_first_symbol) == 1
+
+    @given(rank_patterns(XOR_GROUNDS), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_matches_full_scan_on_xor_grounds(self, case, relabel_seed):
+        _check_against_full_scan(*case, relabel_seed)
+
+    @given(rank_patterns(SHARED_FIRST_GROUNDS), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_matches_full_scan_on_shared_first_symbols(self, case, relabel_seed):
+        _check_against_full_scan(*case, relabel_seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_exhaustively(self, seed):
+        # small random subsets of S_4 and S_5 in random index order: every
+        # rank pattern, most of them tied between several nearest candidates
+        q = 4 + seed % 2
+        ground = uc.ground_set_from_perms(
+            q, _shuffled_subset(itertools.permutations(range(q)), 6 + seed, seed)
+        )
+        ties = 0
+        for rank in itertools.permutations(range(q)):
+            distances = [ulam_distance(rank, sigma) for sigma in ground.perms]
+            ties += distances.count(min(distances)) > 1
+            _check_against_full_scan(ground, rank, seed)
+        assert ties > 0
+
+    def test_exact_match_needs_no_distance_call(self, q8_instance, monkeypatch):
+        calls = []
+        real = ulam_code.ulam_distance
+        monkeypatch.setattr(ulam_code, "ulam_distance", lambda a, b: calls.append(len(a)) or real(a, b))
+        word = uc.encode(1234 % q8_instance.message_count, q8_instance)
+        assert uc.decode(word, q8_instance).message == 1234 % q8_instance.message_count
+        assert calls == [q8_instance.n]  # the final check only
 
 
 class TestDecode:
