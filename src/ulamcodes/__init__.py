@@ -15,7 +15,6 @@ cli (command-line front end).
 """
 from .block_codes import (
     BlockCode,
-    BlockCodeSpec,
     DecodeFailure,
     concat_code,
     greedy_gv_code,
@@ -64,7 +63,6 @@ from .verify import audit_pairwise, decoder_sweep, rate_report
 
 __all__ = [
     "BlockCode",
-    "BlockCodeSpec",
     "CodeBounds",
     "DecodeFailure",
     "DecodeResult",

@@ -12,16 +12,19 @@ is an exact power of the alphabet additionally expose the digit-string
 ``DecodeFailure`` value, and it never returns a wrong message when some
 codeword lies within ``decoding_radius`` of the input.
 
-Available constructions: Reed-Solomon with Berlekamp-Welch decoding,
-greedy Gilbert-Varshamov searched codeword lists with brute-force
-nearest-codeword decoding, code concatenation (inner-then-outer
-decoding), plus repetition and identity codes for plumbing. Codes are
-immutable after construction and safe for concurrent use.
+Available constructions: Reed-Solomon with Gao decoding (Berlekamp-Welch
+kept as oracle), greedy Gilbert-Varshamov searched codeword lists with
+brute-force nearest-codeword decoding, code concatenation
+(inner-then-outer decoding), plus repetition and identity codes for
+plumbing. Codes are immutable after construction and safe for concurrent
+use.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
@@ -36,16 +39,6 @@ class DecodeFailure:
     """Returned (not raised) when unique decoding cannot certify a message."""
 
     reason: str
-
-
-@dataclass(frozen=True)
-class BlockCodeSpec:
-    alphabet_size: int
-    block_length: int
-    message_length: int | None
-    min_distance: int
-    decoding_radius: int
-    size: int
 
 
 class BlockCode:
@@ -65,17 +58,6 @@ class BlockCode:
             value *= self.alphabet_size
             k += 1
         return k if value == self.size else None
-
-    @property
-    def spec(self) -> BlockCodeSpec:
-        return BlockCodeSpec(
-            alphabet_size=self.alphabet_size,
-            block_length=self.block_length,
-            message_length=self.message_length,
-            min_distance=self.min_distance,
-            decoding_radius=self.decoding_radius,
-            size=self.size,
-        )
 
     def encode_index(self, x: int) -> tuple[int, ...]:
         raise NotImplementedError
@@ -135,7 +117,10 @@ class ReedSolomonCode(BlockCode):
     """
     [n, k, n-k+1] Reed-Solomon code over GF(field_order), evaluation
     points 0..n-1, message digit j = coefficient of x^j. Unique decoding
-    up to floor((n-k)/2) errors via Berlekamp-Welch.
+    up to floor((n-k)/2) errors in O(n*(n-k)) field operations via Gao
+    decoding (interpolation plus a partial extended Euclidean algorithm;
+    S. Gao, "A new algorithm for decoding Reed-Solomon codes", 2003),
+    Berlekamp-Welch kept as oracle.
     """
 
     def __init__(self, field: Field, n: int, k: int):
@@ -171,40 +156,92 @@ class ReedSolomonCode(BlockCode):
             f.check(c)
         return tuple(f.eval_poly(message, a) for a in self.points)
 
+    @cached_property
+    def _interpolation(self) -> tuple[list[int], tuple[list[int], ...]]:
+        """
+        g0 = prod (x - a_i), and for each point a_i the row -L_i of the
+        Lagrange basis (L_i(a_j) = [i == j]), coefficients ascending.
+        Built on the first decode, so encode-only users never pay for it.
+        """
+        f = self.field
+        g0 = [1]
+        for a in self.points:
+            # (x - a) * g0 = x*g0 - a*g0
+            g0 = f.sub_scaled([0] + g0, a, g0 + [0])
+        rows = []
+        for a in self.points:
+            others, _ = _poly_divmod(f, g0, [f.neg(a), 1])
+            scale = f.neg(f.inv(f.eval_poly(others, a)))
+            rows.append([f.mul(scale, c) for c in others])
+        return g0, tuple(rows)
+
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         word = self.check_word(word)
         f = self.field
         n, k, e = self.block_length, self.k, self.decoding_radius
-        # Berlekamp-Welch: find Q of degree < k+e and monic E of degree e with
-        # Q(a_i) = r_i * E(a_i) for all i; then the message polynomial is Q/E.
-        cols = (k + e) + e
-        rows = []
-        rhs = []
-        for a, r in zip(self.points, word):
-            row = [0] * cols
-            pw = 1
-            for u in range(k + e):
-                row[u] = pw
-                pw = f.mul(pw, a)
-            pw = 1
-            for j in range(e):
-                row[k + e + j] = f.neg(f.mul(r, pw))
-                pw = f.mul(pw, a)
-            rows.append(row)
-            rhs.append(f.mul(r, pw))  # r * a^e, the monic term moved across
-        sol = _solve_linear(f, rows, rhs)
-        if sol is None:
-            return DecodeFailure("berlekamp-welch system inconsistent")
-        q_coeffs = sol[: k + e]
-        e_coeffs = sol[k + e :] + [1]  # monic
-        msg_poly, rem = _poly_divmod(f, q_coeffs, e_coeffs)
+        # Gao: interpolate g1 through the received word, run the extended
+        # Euclidean algorithm on (g0, g1) until the remainder g has
+        # 2*deg(g) < n + k, keeping g1's cofactor v; the message polynomial
+        # is g / v.
+        g0, rows = self._interpolation
+        g1 = [0] * n
+        for r, row in zip(word, rows):
+            if r:
+                g1 = f.sub_scaled(g1, r, row)
+        prev, g = g0, _trim(g1)
+        v_prev, v = [], [1]
+        while 2 * len(g) >= n + k + 2:  # 2 * deg(g) >= n + k
+            quot, rem = _poly_divmod(f, prev, g)
+            prev, g = g, rem
+            v_prev, v = v, _poly_sub_mul(f, v_prev, quot, v)
+        msg_poly, rem = _poly_divmod(f, g, v)
         if any(rem) or len(msg_poly) > k:
-            return DecodeFailure("residual error locator does not divide")
+            return DecodeFailure("error locator does not divide the remainder")
         msg_poly = msg_poly + [0] * (k - len(msg_poly))
         codeword = self.encode(msg_poly)
         if hamming_distance(codeword, word) > e:
             return DecodeFailure("nearest candidate beyond decoding radius")
         return from_digits(msg_poly, self.alphabet_size)
+
+
+def _berlekamp_welch_decode(code: ReedSolomonCode, word: Sequence[int]) -> int | DecodeFailure:
+    """
+    Berlekamp-Welch decoding of ``code``: the test oracle for
+    ``ReedSolomonCode.decode_word``. No production path calls it.
+    """
+    word = code.check_word(word)
+    f = code.field
+    k, e = code.k, code.decoding_radius
+    # find Q of degree < k+e and monic E of degree e with
+    # Q(a_i) = r_i * E(a_i) for all i; then the message polynomial is Q/E.
+    cols = (k + e) + e
+    rows = []
+    rhs = []
+    for a, r in zip(code.points, word):
+        row = [0] * cols
+        pw = 1
+        for u in range(k + e):
+            row[u] = pw
+            pw = f.mul(pw, a)
+        pw = 1
+        for j in range(e):
+            row[k + e + j] = f.neg(f.mul(r, pw))
+            pw = f.mul(pw, a)
+        rows.append(row)
+        rhs.append(f.mul(r, pw))  # r * a^e, the monic term moved across
+    sol = _solve_linear(f, rows, rhs)
+    if sol is None:
+        return DecodeFailure("berlekamp-welch system inconsistent")
+    q_coeffs = sol[: k + e]
+    e_coeffs = sol[k + e :] + [1]  # monic
+    msg_poly, rem = _poly_divmod(f, q_coeffs, e_coeffs)
+    if any(rem) or len(msg_poly) > k:
+        return DecodeFailure("residual error locator does not divide")
+    msg_poly = msg_poly + [0] * (k - len(msg_poly))
+    codeword = code.encode(msg_poly)
+    if hamming_distance(codeword, word) > e:
+        return DecodeFailure("nearest candidate beyond decoding radius")
+    return from_digits(msg_poly, code.alphabet_size)
 
 
 def _solve_linear(f: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
@@ -239,9 +276,7 @@ def _solve_linear(f: Field, rows: list[list[int]], rhs: list[int]) -> list[int] 
 def _poly_divmod(f: Field, num: Sequence[int], den: Sequence[int]):
     """Polynomial division over f, coefficients ascending; den need not be monic."""
     num = list(num)
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
+    den = _trim(list(den))
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     quot = [0] * max(len(num) - len(den) + 1, 0)
@@ -251,9 +286,23 @@ def _poly_divmod(f: Field, num: Sequence[int], den: Sequence[int]):
         quot[i] = coeff
         if coeff:
             num[i : i + len(den)] = f.sub_scaled(num[i : i + len(den)], coeff, den)
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+    return quot, _trim(num)
+
+
+def _poly_sub_mul(f: Field, a: Sequence[int], q: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The polynomial a - q*b over f, coefficients ascending."""
+    out = list(a) + [0] * max(len(q) + len(b) - 1 - len(a), 0)
+    for i, c in enumerate(q):
+        if c:
+            out[i : i + len(b)] = f.sub_scaled(out[i : i + len(b)], c, b)
+    return _trim(out)
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place, so len(poly) == deg + 1."""
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
 
 
 def rs_code(field_order: int, n: int, k: int) -> ReedSolomonCode:
@@ -363,8 +412,6 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
 
 def gv_ball_volume(length: int, radius: int, alphabet_size: int) -> int:
     """Hamming-ball volume V(length, radius) over the given alphabet."""
-    import math
-
     return sum(
         math.comb(length, i) * (alphabet_size - 1) ** i for i in range(radius + 1)
     )

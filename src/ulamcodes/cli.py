@@ -49,6 +49,8 @@ class InstanceConfig:
     def resolve(self) -> ulam_code.UlamCodeParams:
         if self.q is None or self.ell is None:
             raise ParameterError("instance needs q and ell (flags or config file)")
+        if self.ell < 1:
+            raise ParameterError(f"ell must be >= 1, got {self.ell}")
         if self.ground is None:
             raise ParameterError("instance needs a ground-set descriptor")
         ground = resolve_ground_set(self.ground, self.q)
@@ -91,6 +93,8 @@ def load_config_file(path: str) -> InstanceConfig:
 
 
 def resolve_ground_set(desc: str, q: int) -> GroundSet:
+    if q < 2:
+        raise ParameterError(f"q must be >= 2, got {q}")
     kind, _, rest = desc.partition(":")
     if kind == "file":
         loaded = ground_set.load_ground_set(rest)

@@ -130,7 +130,7 @@ def brute_force_ground_set(
 
     Default mode scans all q! permutations in lexicographic order; with a
     seed, random permutations are sampled instead, up to sample_budget
-    draws. Stops once target_p permutations are found; target_p=None
+    draws. Stops once target_p >= 1 permutations are found; target_p=None
     keeps everything the greedy scan admits. Raises ParameterError if the
     budget ends before target_p is reached.
     """
@@ -138,6 +138,8 @@ def brute_force_ground_set(
         raise ParameterError(f"q must be >= 1, got {q}")
     if max_lcs < 0:
         raise ParameterError(f"max_lcs must be >= 0, got {max_lcs}")
+    if target_p is not None and target_p < 1:
+        raise ParameterError(f"target_p must be >= 1, got {target_p}")
     chosen: list[tuple[int, ...]] = []
     chosen_set: set[tuple[int, ...]] = set()
 

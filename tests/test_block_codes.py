@@ -1,11 +1,13 @@
 import itertools
+import math
 import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ulamcodes import block_codes
 from ulamcodes.block_codes import (
     DecodeFailure,
     ExplicitCode,
@@ -19,6 +21,7 @@ from ulamcodes.block_codes import (
     rs_code,
     save_explicit_code,
 )
+from ulamcodes.block_codes import _berlekamp_welch_decode as berlekamp_welch_decode
 from ulamcodes.errors import ParameterError
 
 
@@ -141,6 +144,91 @@ class TestReedSolomon:
             code.encode((1, 2, 3))
         with pytest.raises(ValueError):
             code.encode((1, 7))
+
+
+# (field order, n, k): characteristic 2, odd prime powers and prime fields;
+# n < order and n == order; odd and even n - k; k = 1 and k = n (radius 0);
+# GF(1024) has no multiplication table, so it takes the scalar fallback.
+ORACLE_CODES = [
+    (4, 4, 2), (8, 7, 3), (8, 6, 3), (16, 16, 8), (32, 32, 16), (8, 8, 8),
+    (9, 8, 3), (9, 9, 2), (27, 20, 7), (25, 24, 9),
+    (7, 6, 3), (11, 11, 4), (13, 12, 1), (7, 5, 5), (5, 5, 1),
+    (1024, 10, 4),
+]
+
+
+def decode_outcome(result):
+    """The decoded message, or DecodeFailure whatever its reason text."""
+    return DecodeFailure if isinstance(result, DecodeFailure) else result
+
+
+@st.composite
+def oracle_cases(draw):
+    field_order, n, k = draw(st.sampled_from(ORACLE_CODES))
+    code = rs_code(field_order, n, k)
+    symbol = st.integers(0, field_order - 1)
+    if draw(st.booleans()):
+        word = draw(st.lists(symbol, min_size=n, max_size=n))
+    else:
+        # a codeword corrupted in 0..n positions, both sides of the radius
+        word = list(code.encode_index(draw(st.integers(0, code.size - 1))))
+        positions = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        for i in positions:
+            word[i] = draw(symbol)
+    return code, tuple(word)
+
+
+class TestGaoAgainstBerlekampWelch:
+    """decode_word (Gao) against the Berlekamp-Welch oracle: same outcome."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_cases())
+    def test_agrees_with_oracle(self, case):
+        code, word = case
+        assert decode_outcome(code.decode_word(word)) == decode_outcome(
+            berlekamp_welch_decode(code, word)
+        )
+
+    @pytest.mark.parametrize("field_order,n,k", [(4, 4, 2), (5, 5, 2), (3, 3, 1)])
+    def test_agrees_with_oracle_on_every_word(self, field_order, n, k):
+        code = rs_code(field_order, n, k)
+        decoded = 0
+        for word in itertools.product(range(field_order), repeat=n):
+            gao = decode_outcome(code.decode_word(word))
+            assert gao == decode_outcome(berlekamp_welch_decode(code, word))
+            decoded += gao is not DecodeFailure
+        # every word within the radius of a codeword, and nothing else, decodes
+        assert decoded == code.size * sum(
+            math.comb(n, i) * (field_order - 1) ** i
+            for i in range(code.decoding_radius + 1)
+        )
+
+    def test_decode_path_does_not_use_oracle(self, monkeypatch):
+        def oracle_called(*args):
+            raise AssertionError("production decode reached the oracle")
+
+        monkeypatch.setattr(block_codes, "_solve_linear", oracle_called)
+        monkeypatch.setattr(block_codes, "_berlekamp_welch_decode", oracle_called)
+        code = rs_code(16, 16, 8)
+        word = list(code.encode_index(12345))
+        word[0] ^= 1
+        word[5] ^= 3
+        assert code.decode_word(word) == 12345
+
+    def test_interpolation_tables_built_on_first_decode(self):
+        code = rs_code(16, 16, 8)
+        code.encode_index(7)
+        assert "_interpolation" not in vars(code)
+        assert code.decode_word(code.encode_index(7)) == 7
+        g0, rows = vars(code)["_interpolation"]
+        f = code.field
+        # g0 vanishes on every point; row i is -L_i, so -1 at a_i and 0 elsewhere
+        assert len(g0) == code.block_length + 1
+        assert all(f.eval_poly(g0, a) == 0 for a in code.points)
+        for i, row in enumerate(rows):
+            assert [f.eval_poly(row, a) for a in code.points] == [
+                f.neg(1) if j == i else 0 for j in range(code.block_length)
+            ]
 
 
 class TestGreedyGv:
@@ -296,14 +384,14 @@ class TestSpecObject:
             identity_code(2, 3),
             concat_code(rs_code(4, 3, 1), identity_code(2, 2)),
         ]:
-            spec = code.spec
-            assert spec.decoding_radius <= (spec.min_distance - 1) // 2
-            if spec.message_length is not None:
-                assert spec.alphabet_size**spec.message_length == spec.size
+            assert code.decoding_radius <= (code.min_distance - 1) // 2
+            if code.message_length is not None:
+                assert code.alphabet_size**code.message_length == code.size
             words = list(code.codewords())
-            assert len(set(words)) == spec.size
-            if spec.size >= 2:
-                assert exact_min_distance(code) >= spec.min_distance
+            assert len(set(words)) == code.size
+            assert all(len(w) == code.block_length for w in words)
+            if code.size >= 2:
+                assert exact_min_distance(code) >= code.min_distance
 
     def test_word_validation(self):
         code = rs_code(5, 5, 2)

@@ -52,6 +52,22 @@ def test_build_reports_constraint_violation(capsys):
     assert "n/q" in err
 
 
+@pytest.mark.parametrize(
+    "q, ell, message",
+    [("0", "2", "q must be >= 2, got 0"), ("8", "-1", "ell must be >= 1, got -1")],
+)
+def test_build_rejects_bad_q_or_ell_before_descriptors(capsys, q, ell, message):
+    assert main(["build", "--q", q, "--ell", ell, "--ground-set", "xor:all",
+                 "--code", "rs:8,8,2"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bruteforce_target_zero_exits_1(capsys):
+    assert main(["build", "--q", "8", "--ell", "2", "--ground-set", "bruteforce:9:0",
+                 "--code", "rs:8,8,2"]) == 1
+    assert "target_p must be >= 1" in capsys.readouterr().err
+
+
 def test_raw_shuffler_encode_binary_example(capsys):
     assert (
         main(

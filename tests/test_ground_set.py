@@ -106,6 +106,14 @@ class TestBruteForce:
         with pytest.raises(ParameterError):
             brute_force_ground_set(3, 3, 1)
 
+    @pytest.mark.parametrize("target_p", [0, -1])
+    def test_target_below_one_raises(self, target_p):
+        # q=9 would take 9! admission checks if the target were accepted
+        with pytest.raises(ParameterError, match="target_p must be >= 1"):
+            brute_force_ground_set(9, target_p, 9)
+        with pytest.raises(ParameterError, match="target_p must be >= 1"):
+            brute_force_ground_set(9, target_p, 9, seed=1)
+
     def test_random_mode_deterministic(self):
         a = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)
         b = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)
