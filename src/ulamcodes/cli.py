@@ -70,26 +70,36 @@ class InstanceConfig:
 def load_config_file(path: str) -> InstanceConfig:
     cfg = InstanceConfig()
     with open(path, encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ParameterError(f"config line is not key=value: {raw.strip()!r}")
+                raise ParameterError(f"{where}: config line is not key=value: {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "q":
-                cfg.q = int(value)
-            elif key == "ell":
-                cfg.ell = int(value)
+            if key in ("q", "ell", "seed"):
+                try:
+                    setattr(cfg, key, int(value))
+                except ValueError:
+                    raise ParameterError(f"{where}: {key} must be an integer, got {value!r}") from None
             elif key == "ground_set":
                 cfg.ground = value
             elif key == "code":
                 cfg.code = value
-            elif key == "seed":
-                cfg.seed = int(value)
             else:
-                raise ParameterError(f"unknown config key {key!r}")
+                raise ParameterError(f"{where}: unknown config key {key!r}")
     return cfg
+
+
+def _descriptor_ints(desc: str, fields: list[str], shape: str, arities: tuple[int, ...]) -> list[int]:
+    """The integer fields of a descriptor, or a ParameterError quoting it and its expected shape."""
+    if len(fields) in arities:
+        try:
+            return [int(tok) for tok in fields]
+        except ValueError:
+            pass
+    raise ParameterError(f"descriptor {desc!r} does not match {shape}")
 
 
 def resolve_ground_set(desc: str, q: int) -> GroundSet:
@@ -108,15 +118,16 @@ def resolve_ground_set(desc: str, q: int) -> GroundSet:
         if rest == "all":
             g = block_codes.identity_code(2, r)
         elif rest.startswith("gv:"):
-            g = block_codes.greedy_gv_code(2, r, int(rest[3:]))
+            (d,) = _descriptor_ints(desc, [rest[3:]], "xor:gv:D", (1,))
+            g = block_codes.greedy_gv_code(2, r, d)
         else:
             raise ParameterError(f"unknown xor sub-descriptor {rest!r}")
         return ground_set.xor_ground_set(q, g)
     if kind == "bruteforce":
-        parts = rest.split(":")
-        max_lcs = int(parts[0])
-        target_p = int(parts[1]) if len(parts) > 1 else None
-        return ground_set.brute_force_ground_set(q, target_p, max_lcs)
+        max_lcs, *target_p = _descriptor_ints(
+            desc, rest.split(":"), "bruteforce:MAX_LCS[:TARGET_P]", (1, 2)
+        )
+        return ground_set.brute_force_ground_set(q, target_p[0] if target_p else None, max_lcs)
     raise ParameterError(f"unknown ground-set descriptor {desc!r}")
 
 
@@ -132,22 +143,23 @@ def resolve_block_code(desc: str, alphabet: int, length: int) -> BlockCode:
     return code
 
 
+# kind -> (constructor, expected descriptor shape)
+_INT_CODES = {
+    "rs": (block_codes.rs_code, "rs:ORDER,N,K"),
+    "gv": (block_codes.greedy_gv_code, "gv:ALPHABET,N,D"),
+    "rep": (block_codes.repetition_code, "rep:ALPHABET,N"),
+    "id": (block_codes.identity_code, "id:ALPHABET,N"),
+}
+
+
 def _parse_code(desc: str) -> BlockCode:
     kind, _, rest = desc.partition(":")
     if kind == "file":
         return block_codes.load_explicit_code(rest)
-    if kind == "rs":
-        field_order, n, k = (int(tok) for tok in rest.split(","))
-        return block_codes.rs_code(field_order, n, k)
-    if kind == "gv":
-        alphabet, n, d = (int(tok) for tok in rest.split(","))
-        return block_codes.greedy_gv_code(alphabet, n, d)
-    if kind == "rep":
-        alphabet, n = (int(tok) for tok in rest.split(","))
-        return block_codes.repetition_code(alphabet, n)
-    if kind == "id":
-        alphabet, n = (int(tok) for tok in rest.split(","))
-        return block_codes.identity_code(alphabet, n)
+    if kind in _INT_CODES:
+        build, shape = _INT_CODES[kind]
+        arity = shape.count(",") + 1
+        return build(*_descriptor_ints(desc, rest.split(","), shape, (arity,)))
     if kind == "concat":
         outer_desc, sep, inner_desc = rest.partition("/")
         if not sep:

@@ -14,12 +14,15 @@ a bound.
 Certification is always exhaustive: the stored maximum pairwise LCS is
 recomputed over all pairs at construction time. The full pairwise LCS
 table is kept too; the decoder's group guess prunes its search with it.
+Each permutation also gets an operator.itemgetter, so a shuffle stage
+reorders a group with one C call.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .block_codes import BlockCode
@@ -34,7 +37,10 @@ class GroundSet:
 
     pair_lcs[i][j] is the LCS of perms[i] and perms[j] (q on the
     diagonal); by_first_symbol[s] lists, ascending, the indices of the
-    permutations that start with symbol s.
+    permutations that start with symbol s. gathers[c] is
+    itemgetter(*perms[c]): given a group's q contents g it returns
+    (g[perms[c][0]], ..., g[perms[c][q-1]]). It is empty for q < 2,
+    where an itemgetter would not return a tuple.
     """
 
     q: int
@@ -43,6 +49,7 @@ class GroundSet:
     worst_pair: tuple[int, int] | None
     pair_lcs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     by_first_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    gathers: tuple[itemgetter, ...] = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
@@ -89,6 +96,7 @@ def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
         worst_pair=worst,
         pair_lcs=pair_lcs,
         by_first_symbol=by_first,
+        gathers=tuple(itemgetter(*w) for w in perms) if q >= 2 else (),
     )
 
 

@@ -13,6 +13,14 @@ group's contents:
 
     pi_new[alpha x beta] = pi_old[alpha sigma_c[x] beta],  c = w[(alpha, beta)].
 
+With step = q^(ell-i), the group at slot s = hi*step + lo holds the
+positions base, base + step, ..., base + (q-1)*step, base = hi*q*step +
+lo: one strided slice of [n]. _stage_groups is the one group walk; it
+lists a stage's slices in slot order, and the stage kernel, the decoder
+and group_positions all read it. A stage is applied per group as one
+slice read, one C gather through the ground set's itemgetter for
+sigma_c, and one slice write.
+
 Encoding folds ell such stages over the identity permutation, with the
 stage shufflers drawn as codewords of a Hamming-metric block code C over
 [p]; a message in [|C|^ell] picks the ell codewords by mixed radix.
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import log
 from typing import NamedTuple, Sequence
 
@@ -83,11 +92,20 @@ def slot_group(stage: int, slot: int, q: int, ell: int) -> GroupKey:
     return GroupKey(stage=stage, alpha=digits[: stage - 1], beta=digits[stage - 1 :])
 
 
+@cache
+def _stage_groups(q: int, ell: int, stage: int) -> tuple[slice, ...]:
+    """The stage's groups as strided slices of [q^ell], in shuffler-slot order."""
+    step = q ** (ell - stage)
+    return tuple(
+        slice(base, base + q * step, step)
+        for hi in range(0, q**ell, q * step)
+        for base in range(hi, hi + step)
+    )
+
+
 def group_positions(key: GroupKey, q: int, ell: int) -> tuple[int, ...]:
     """The q positions alpha x beta, in increasing x order."""
-    step = q ** (ell - key.stage)
-    base = from_digits(key.alpha, q) * q * step + from_digits(key.beta, q)
-    return tuple(base + x * step for x in range(q))
+    return tuple(range(q**ell)[_stage_groups(q, ell, key.stage)[group_slot(key, q)]])
 
 
 @dataclass(frozen=True)
@@ -197,13 +215,16 @@ def apply_stage(
     One shuffle stage: reorder each stage-i group of pi by its selected
     ground permutation. Positions only move within their group, so
     digits other than digit i are untouched and the output is again a
-    permutation.
+    permutation. Each group is one strided slice of pi (see
+    _stage_groups), reordered in C by ground.gathers[c].
     """
     q = ground.q
+    if q < 2:
+        raise ParameterError(f"ground set must be over [q] with q >= 2, got q={q}")
     n = len(pi)
     groups = len(shuffler)
     if q * groups != n:
-        raise ParameterError(f"shuffler length {groups} != n/q = {n // q if q else 0}")
+        raise ParameterError(f"shuffler length {groups} != n/q = {n // q}")
     ell = 0
     size = 1
     while size < n:
@@ -213,17 +234,13 @@ def apply_stage(
         raise ParameterError(f"permutation length {n} is not a power of q={q}")
     if not 1 <= stage <= ell:
         raise ParameterError(f"stage must be in 1..{ell}, got {stage}")
-    step = q ** (ell - stage)
-    out = [0] * n
-    for slot in range(groups):
-        hi, lo = divmod(slot, step)
-        base = hi * q * step + lo
-        c = shuffler[slot]
+    for c in (min(shuffler), max(shuffler)):
         if not 0 <= c < ground.p:
             raise ParameterError(f"shuffler symbol {c} out of range [0, {ground.p})")
-        sigma = ground.perms[c]
-        for x in range(q):
-            out[base + x * step] = pi[base + sigma[x] * step]
+    gathers = ground.gathers
+    out = [0] * n
+    for group, c in zip(_stage_groups(q, ell, stage), shuffler):
+        out[group] = gathers[c](pi[group])
     return tuple(out)
 
 
@@ -366,18 +383,14 @@ def decode(pi: Sequence[int], params: UlamCodeParams) -> DecodeResult | DecodeFa
     if len(pi) != n:
         raise ParameterError(f"permutation length {len(pi)} != n = {n}")
     ground = params.ground
-    groups = params.code.block_length
     pos_of = inverse(pi)
     prev_star = identity(n)
     stage_indices = []
     for i in range(1, ell + 1):
-        step = q ** (ell - i)
         guessed = []
-        for slot in range(groups):
-            hi, lo = divmod(slot, step)
-            base = hi * q * step + lo
+        for group in _stage_groups(q, ell, i):
             # the group's rank pattern: its x-indices in received order
-            spots = [pos_of[sym] for sym in prev_star[base : base + q * step : step]]
+            spots = [pos_of[sym] for sym in prev_star[group]]
             rank = tuple(sorted(range(q), key=spots.__getitem__))
             guessed.append(_best_symbol(rank, ground))
         idx = params.code.decode_word(tuple(guessed))

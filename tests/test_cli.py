@@ -229,3 +229,31 @@ def test_bad_file_token_exits_1_with_path_and_line(tmp_path, capsys, kind, text,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:{line}: ")
     assert "Traceback" not in err
+
+
+def test_config_non_integer_names_path_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# instance\nell=2\nq=abc\n")
+    assert main(["build", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: q must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "flag, desc, message",
+    [
+        ("--code", "rs:4,8", "descriptor 'rs:4,8' does not match rs:ORDER,N,K"),
+        ("--code", "gv:4,x,2", "descriptor 'gv:4,x,2' does not match gv:ALPHABET,N,D"),
+        ("--code", "concat:rs:16,4,2/id:4", "descriptor 'id:4' does not match id:ALPHABET,N"),
+        ("--ground-set", "bruteforce:x",
+         "descriptor 'bruteforce:x' does not match bruteforce:MAX_LCS[:TARGET_P]"),
+        ("--ground-set", "bruteforce:1:2:3",
+         "descriptor 'bruteforce:1:2:3' does not match bruteforce:MAX_LCS[:TARGET_P]"),
+        ("--ground-set", "xor:gv:", "descriptor 'xor:gv:' does not match xor:gv:D"),
+    ],
+)
+def test_malformed_descriptor_quotes_it_and_its_shape(capsys, flag, desc, message):
+    flags = {"--q": "4", "--ell": "2", "--ground-set": "xor:all", "--code": "gv:4,4,2"}
+    flags[flag] = desc
+    argv = ["build"] + [tok for pair in flags.items() for tok in pair]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -23,6 +23,7 @@ from ulamcodes.perm_core import (
 from ulamcodes.ulam_code import (
     GroupKey,
     _best_symbol,
+    _stage_groups,
     group_positions,
     group_slot,
     slot_group,
@@ -149,6 +150,62 @@ class TestStageProperties:
             uc.apply_stage(identity(8), 1, (0, 0, 0, 2), ground)
         with pytest.raises(ParameterError):
             uc.apply_stage(identity(6), 1, (0, 0, 0), ground)
+        # a negative symbol must not pick a ground permutation from the end
+        with pytest.raises(ParameterError):
+            uc.apply_stage(identity(8), 1, (0, -1, 0, 0), ground)
+        # over [1] the length walk would never reach n
+        with pytest.raises(ParameterError):
+            uc.apply_stage((0, 1), 1, (0, 0), uc.ground_set_from_perms(1, [(0,)]))
+
+
+def _shuffled_subset(perms, size, seed):
+    rng = random.Random(seed)
+    return rng.sample(list(perms), size)
+
+
+def _sampled_ground(q, size, seed):
+    return uc.ground_set_from_perms(
+        q, _shuffled_subset(itertools.permutations(range(q)), size, seed)
+    )
+
+
+# per q: XOR sets where q is a power of two, and explicit sets that are not
+# XOR sets (for q = 2 every set is one)
+STAGE_GROUNDS = {
+    2: [uc.xor_ground_set(2, uc.identity_code(2, 1)), uc.ground_set_from_perms(2, [(1, 0)])],
+    3: [uc.ground_set_from_perms(3, TERNARY_PERMS), _sampled_ground(3, 5, 1)],
+    4: [uc.xor_ground_set(4, uc.identity_code(2, 2)), _sampled_ground(4, 7, 2)],
+    5: [_sampled_ground(5, 9, 3), uc.brute_force_ground_set(5, None, 3)],
+    8: [uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)), _sampled_ground(8, 11, 4)],
+}
+
+
+class TestStageKernel:
+    @given(
+        st.sampled_from(sorted(STAGE_GROUNDS)),
+        st.integers(1, 4),
+        st.integers(0, 1),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_stage(self, q, ell, which, as_list, rng):
+        ground = STAGE_GROUNDS[q][which]
+        pi = list(range(q**ell))
+        rng.shuffle(pi)
+        pi = pi if as_list else tuple(pi)
+        for stage in range(1, ell + 1):
+            w = [rng.randrange(ground.p) for _ in range(q ** (ell - 1))]
+            want = reference_stage(pi, stage, w, ground.perms, q, ell)
+            assert uc.apply_stage(pi, stage, w, ground) == want
+
+    def test_grounds_include_non_xor_sets(self):
+        for q in (3, 4, 5, 8):
+            assert any(
+                sigma != tuple(i ^ sigma[0] for i in range(q))
+                for ground in STAGE_GROUNDS[q]
+                for sigma in ground.perms
+            )
 
 
 class TestGroupKeys:
@@ -165,11 +222,17 @@ class TestGroupKeys:
         q, ell = 3, 3
         for stage in range(1, ell + 1):
             seen = set()
+            groups = _stage_groups(q, ell, stage)
+            assert len(groups) == q ** (ell - 1)
             for slot in range(q ** (ell - 1)):
                 key = slot_group(stage, slot, q, ell)
                 pos = group_positions(key, q, ell)
                 assert len(pos) == q
                 assert pos == tuple(sorted(pos))
+                # the walk agrees slot by slot with the digit strings alpha x beta
+                assert tuple(range(q**ell)[groups[slot]]) == pos == tuple(
+                    from_digits(key.alpha + (x,) + key.beta, q) for x in range(q)
+                )
                 seen.update(pos)
             assert seen == set(range(q**ell))
 
@@ -350,11 +413,6 @@ class TestGuessSymbol:
         key = GroupKey(stage=1, alpha=(), beta=())
         received = (1, 0, 3, 2)
         assert uc.guess_shuffler_symbol(received, identity(4), key, ground4) == 0
-
-
-def _shuffled_subset(perms, size, seed):
-    rng = random.Random(seed)
-    return rng.sample(list(perms), size)
 
 
 # XOR sets hold at most one permutation per first symbol; the brute-force
