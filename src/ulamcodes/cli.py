@@ -176,6 +176,14 @@ def parse_shufflers(text: str) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _parse_flag(flag: str, text: str, parse, shape: str):
+    """parse(text), or a ParameterError naming the flag, its expected shape and the text."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise ParameterError(f"{flag} must be {shape}, got {text!r}") from None
+
+
 def _instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value instance config file")
     parser.add_argument("--q", type=int, help="group alphabet size")
@@ -303,12 +311,15 @@ def _cmd_encode(args) -> int:
     if (args.msg is None) == (args.raw_shufflers is None):
         raise ParameterError("encode needs exactly one of --msg or --raw-shufflers")
     if args.raw_shufflers is not None:
-        shufflers = parse_shufflers(args.raw_shufflers)
+        shufflers = _parse_flag(
+            "--raw-shufflers", args.raw_shufflers, parse_shufflers,
+            "integers separated by spaces, commas and ';'",
+        )
         ground = cfg.resolve_ground()
         word = ulam_code.run_stages(shufflers, ground.q, ground)
     else:
         params = cfg.resolve()
-        word = ulam_code.encode(int(args.msg), params)
+        word = ulam_code.encode(_parse_flag("--msg", args.msg, int, "an integer"), params)
     line = perm_core.format_permutation(word)
     print(line)
     if args.out:
@@ -357,7 +368,11 @@ def _cmd_audit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _config_from_args(args).resolve()
-    t_values = [int(tok) for tok in args.t_list.split(",") if tok.strip()]
+    t_values = _parse_flag(
+        "--t-list", args.t_list,
+        lambda text: [int(tok) for tok in text.split(",") if tok.strip()],
+        "comma-separated integers",
+    )
     report = verify.decoder_sweep(params, t_values, args.trials, args.seed)
     print(verify.report_json(report, timings=False) if args.json else report.as_text(timings=False))
     return 0 if report.radius_violations == 0 else 1

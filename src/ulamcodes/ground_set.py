@@ -13,15 +13,18 @@ a bound.
 
 Certification is always exhaustive: the stored maximum pairwise LCS is
 recomputed over all pairs at construction time. The full pairwise LCS
-table is kept too; the decoder's group guess prunes its search with it.
-Each permutation also gets an operator.itemgetter, so a shuffle stage
-reorders a group with one C call.
+table is kept too. The decoder's group guess prunes its search with the
+triangle-inequality bounds derived from it, which the set tabulates
+lazily on the first decode that needs them (bound_rows), so building a
+set does not pay for them. Each permutation also gets an
+operator.itemgetter, so a shuffle stage reorders a group with one C call.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -41,6 +44,12 @@ class GroundSet:
     itemgetter(*perms[c]): given a group's q contents g it returns
     (g[perms[c][0]], ..., g[perms[c][q-1]]). It is empty for q < 2,
     where an itemgetter would not return a tuple.
+
+    bound_rows[c][d][x] = |q - d - pair_lcs[c][x]|: once some rank
+    pattern r is known to lie at Ulam distance d from perms[c], the
+    triangle inequality puts it at least that far from perms[x]. The
+    table has p * (q + 1) rows of p entries and is built on first access,
+    not at certification.
     """
 
     q: int
@@ -54,6 +63,19 @@ class GroundSet:
     @property
     def p(self) -> int:
         return len(self.perms)
+
+    @cached_property
+    def equidistant(self) -> bool:
+        """Whether every pair of distinct perms has the same LCS."""
+        return len({l for row in self.pair_lcs for l in row}) <= 2  # q on the diagonal
+
+    @cached_property
+    def bound_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        rows = []
+        for lcs_row in self.pair_lcs:
+            far = [self.q - l for l in lcs_row]  # Ulam distances from perms[c]
+            rows.append(tuple(tuple(abs(f - d) for f in far) for d in range(self.q + 1)))
+        return tuple(rows)
 
     def __repr__(self) -> str:
         return f"GroundSet(q={self.q}, p={self.p}, max_lcs={self.certified_max_lcs})"

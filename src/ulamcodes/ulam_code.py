@@ -40,12 +40,20 @@ read once as its rank pattern r, the x-indices of its symbols in
 received order; r is a permutation of [q], and relabeling symbols by x
 does not change an Ulam distance, so each candidate c is scored as
 ulam_distance(r, sigma_c). An exact match is looked up first. Otherwise
-the candidate starting with r[0] is scored, then the rest in index
-order, skipping any c with (q - LCS(sigma_best, sigma_c)) - best_d above
-best_d (or equal to it, with c > best): by the triangle inequality c is
-at least that far from r, so it cannot win. The pairwise LCS table comes
-from the ground set's certification. The result is the full scan's
-argmin, ties going to the smallest index.
+the candidate starting with r[0] is scored; when its distance d0 is
+below half the ground set's minimum pairwise distance q - max_lcs, every
+other candidate is farther and it is the answer. Otherwise the search is
+best-first elimination (E. Vidal's AESA, 1986): each scored candidate c
+at distance d bounds every x from below by |d - (q - LCS(sigma_c,
+sigma_x))|, the triangle inequality; each x keeps the largest bound over
+the candidates scored so far, the candidate with the smallest (bound,
+index) is scored next, and the search stops once that pair is no smaller
+than (best distance, best index). No unscored candidate can then win, so
+the result is the full scan's argmin, ties going to the smallest index.
+The bound rows come from the ground set's table (GroundSet.bound_rows).
+When all pairwise distances of the ground set are equal, every scored
+candidate bounds all others alike, so the bounds are one number and the
+order is index order; that case is scanned without the table.
 
 Everything here is pure; params objects are immutable after validation.
 """
@@ -311,8 +319,10 @@ def encode(x: int, params: UlamCodeParams) -> tuple[int, ...]:
 def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     """
     The index c minimizing ulam_distance(rank, sigma_c) for a group's rank
-    pattern (a permutation of [q]); ties go to the smallest c. The pruned
-    search is described in the module docstring.
+    pattern (a permutation of [q]); ties go to the smallest c. The
+    best-first elimination search is described in the module docstring;
+    each candidate it scores is one call of the module-level
+    ulam_distance, and every other candidate is ruled out by a bound.
     """
     perms = ground.perms
     starts = ground.by_first_symbol[rank[0]]
@@ -321,16 +331,36 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
             return c
     best = start = starts[0] if starts else 0
     best_d = ulam_distance(rank, perms[best])
-    q = len(rank)
-    row = ground.pair_lcs[best]
-    for c in range(len(perms)):
-        lower = q - row[c] - best_d  # d(rank, sigma_c) >= lower by the triangle inequality
-        if c == start or lower > best_d or (lower == best_d and c > best):
-            continue
-        d = ulam_distance(rank, perms[c])
-        if d < best_d or (d == best_d and c < best):
-            best, best_d, row = c, d, ground.pair_lcs[c]
-    return best
+    separation = len(rank) - ground.certified_max_lcs
+    if 2 * best_d < separation:
+        return best  # every other candidate is farther than best_d
+    if ground.equidistant:
+        # every pivot bounds all other candidates alike: best-first order
+        # is index order and the bounds are one number
+        bound = abs(separation - best_d)
+        for x in range(len(perms)):
+            if bound > best_d or (bound == best_d and x >= best):
+                break
+            if x != start:
+                d = ulam_distance(rank, perms[x])
+                if d < best_d or (d == best_d and x < best):
+                    best, best_d = x, d
+                bound = max(bound, abs(separation - d))
+        return best
+    rows = ground.bound_rows
+    # lower[x] <= d(rank, sigma_x), with equality for every scored x, so no
+    # scored candidate other than best is picked again
+    lower = rows[best][best_d]
+    while True:
+        bound = min(lower)
+        x = lower.index(bound)
+        if bound > best_d or (bound == best_d and x >= best):
+            return best
+        d = ulam_distance(rank, perms[x])
+        if d < best_d or (d == best_d and x < best):
+            best, best_d = x, d
+        # elementwise max; a comprehension is faster here than map(max, ...)
+        lower = [a if a > b else b for a, b in zip(lower, rows[x][d])]
 
 
 def guess_shuffler_symbol(

@@ -415,8 +415,19 @@ class TestGuessSymbol:
         assert uc.guess_shuffler_symbol(received, identity(4), key, ground4) == 0
 
 
+def _equidistant_ground(q, lcs, seed):
+    """Greedy over S_q in shuffled order: every kept pair has LCS exactly lcs."""
+    kept = []
+    for word in _shuffled_subset(itertools.permutations(range(q)), math.factorial(q), seed):
+        if all(lcs_length(word, other) == lcs for other in kept):
+            kept.append(word)
+    return uc.ground_set_from_perms(q, kept)
+
+
 # XOR sets hold at most one permutation per first symbol; the brute-force
-# and shuffled sets hold several, in no particular index order
+# and shuffled sets hold several, in no particular index order. The q = 64
+# set is the paper's regime (max LCS q/4), where the triangle bounds
+# separate candidates widely; the equidistant sets take the one-bound scan.
 XOR_GROUNDS = [
     uc.xor_ground_set(8, uc.identity_code(2, 3)),
     uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)),
@@ -424,6 +435,9 @@ XOR_GROUNDS = [
     uc.xor_ground_set(16, uc.greedy_gv_code(2, 4, 2)),
     uc.xor_ground_set(32, uc.identity_code(2, 5)),
     uc.xor_ground_set(32, uc.greedy_gv_code(2, 5, 2)),
+    uc.ground_set_from_perms(
+        32, _shuffled_subset(uc.xor_ground_set(32, uc.identity_code(2, 5)).perms, 20, 6)
+    ),
 ]
 SHARED_FIRST_GROUNDS = [
     uc.brute_force_ground_set(5, None, 3),
@@ -431,6 +445,8 @@ SHARED_FIRST_GROUNDS = [
     uc.brute_force_ground_set(7, None, 4, seed=5, sample_budget=3000),
     uc.ground_set_from_perms(5, _shuffled_subset(itertools.permutations(range(5)), 40, 3)),
     uc.ground_set_from_perms(8, _shuffled_subset(itertools.permutations(range(8)), 60, 4)),
+    uc.brute_force_ground_set(64, 64, 16, seed=1, sample_budget=20000),
+    _equidistant_ground(5, 3, 0),
 ]
 
 
@@ -459,12 +475,41 @@ def _check_against_full_scan(ground, rank, relabel_seed):
     assert _best_symbol(rank, ground) == reference_best_symbol(received_order, group_by_x, ground)
 
 
+def _index_order_scan(rank, ground):
+    """Exact pruned scan in index order: each candidate is skipped when the
+    current best's pair LCS rules it out. The baseline distance-call count
+    for the best-first search."""
+    perms = ground.perms
+    starts = ground.by_first_symbol[rank[0]]
+    for c in starts:
+        if perms[c] == rank:
+            return c
+    best = start = starts[0] if starts else 0
+    best_d = ulam_code.ulam_distance(rank, perms[best])
+    q = len(rank)
+    row = ground.pair_lcs[best]
+    for c in range(len(perms)):
+        lower = q - row[c] - best_d
+        if c == start or lower > best_d or (lower == best_d and c > best):
+            continue
+        d = ulam_code.ulam_distance(rank, perms[c])
+        if d < best_d or (d == best_d and c < best):
+            best, best_d, row = c, d, ground.pair_lcs[c]
+    return best
+
+
 class TestPrunedGuess:
     def test_shared_first_symbol_grounds_share(self):
         for ground in SHARED_FIRST_GROUNDS:
             assert max(len(cs) for cs in ground.by_first_symbol) > 1
         for ground in XOR_GROUNDS:
             assert max(len(cs) for cs in ground.by_first_symbol) == 1
+
+    def test_equidistant_flag(self):
+        assert [g.equidistant for g in XOR_GROUNDS] == [False, True, False, False, False, False, False]
+        assert SHARED_FIRST_GROUNDS[-1].equidistant
+        assert not any(g.equidistant for g in SHARED_FIRST_GROUNDS[:-1])
+        assert uc.ground_set_from_perms(3, [(2, 0, 1)]).equidistant
 
     @given(rank_patterns(XOR_GROUNDS), st.integers(0, 2**32))
     @settings(max_examples=300)
@@ -476,20 +521,57 @@ class TestPrunedGuess:
     def test_matches_full_scan_on_shared_first_symbols(self, case, relabel_seed):
         _check_against_full_scan(*case, relabel_seed)
 
-    @pytest.mark.parametrize("seed", range(6))
+    @given(rank_patterns(XOR_GROUNDS + SHARED_FIRST_GROUNDS))
+    @settings(max_examples=200)
+    def test_bound_rows_never_exceed_true_distance(self, case):
+        # the rows any search may read for this rank: (c, d(rank, sigma_c))
+        ground, rank = case
+        distances = [ulam_distance(rank, sigma) for sigma in ground.perms]
+        for c, d in enumerate(distances):
+            row = ground.bound_rows[c][d]
+            assert row[c] == d
+            assert all(bound <= true for bound, true in zip(row, distances))
+
+    @pytest.mark.parametrize("seed", range(9))
     def test_ties_exhaustively(self, seed):
-        # small random subsets of S_4 and S_5 in random index order: every
-        # rank pattern, most of them tied between several nearest candidates
+        # small subsets of S_4 and S_5 in random index order: every rank
+        # pattern, most of them tied between several nearest candidates.
+        # Seeds 6-8 take equidistant subsets.
         q = 4 + seed % 2
-        ground = uc.ground_set_from_perms(
-            q, _shuffled_subset(itertools.permutations(range(q)), 6 + seed, seed)
-        )
+        if seed < 6:
+            ground = uc.ground_set_from_perms(
+                q, _shuffled_subset(itertools.permutations(range(q)), 6 + seed, seed)
+            )
+        else:
+            ground = _equidistant_ground(q, q - 2, seed)
+            assert ground.equidistant and ground.p > 3
         ties = 0
         for rank in itertools.permutations(range(q)):
             distances = [ulam_distance(rank, sigma) for sigma in ground.perms]
             ties += distances.count(min(distances)) > 1
             _check_against_full_scan(ground, rank, seed)
         assert ties > 0
+
+    def test_best_first_halves_distance_calls(self, monkeypatch):
+        # relocated ground permutations, as a decode meets them: the
+        # best-first search scores at most half as many candidates
+        ground = uc.xor_ground_set(32, uc.identity_code(2, 5))
+        rng = random.Random(11)
+        ranks = [
+            _relocated(
+                ground.perms[rng.randrange(ground.p)],
+                [(rng.randrange(32), rng.randrange(32)) for _ in range(rng.randrange(1, 9))],
+            )
+            for _ in range(500)
+        ]
+        calls = []
+        real = ulam_code.ulam_distance
+        monkeypatch.setattr(ulam_code, "ulam_distance", lambda a, b: calls.append(1) or real(a, b))
+        expected = [_index_order_scan(rank, ground) for rank in ranks]
+        scan_calls = len(calls)
+        calls.clear()
+        assert [_best_symbol(rank, ground) for rank in ranks] == expected
+        assert len(calls) <= scan_calls / 2
 
     def test_exact_match_needs_no_distance_call(self, q8_instance, monkeypatch):
         calls = []

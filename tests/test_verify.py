@@ -58,6 +58,10 @@ class TestAuditPairwise:
         with pytest.raises(ParameterError):
             audit_pairwise(swap_instance, sample_pairs=10)
 
+    def test_negative_sample_rejected(self, swap_instance):
+        with pytest.raises(ParameterError, match="sample_pairs must be >= 0"):
+            audit_pairwise(swap_instance, sample_pairs=-5, seed=1)
+
     def test_injectivity_failure_reported(self):
         ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
         params = uc.UlamCodeParams(q=2, ell=3, ground=ground, code=DuplicatingCode())
@@ -106,6 +110,10 @@ class TestAuditPairwise:
 
 
 class TestDecoderSweep:
+    def test_negative_trials_rejected(self, q8_instance):
+        with pytest.raises(ParameterError, match="trials must be >= 0"):
+            decoder_sweep(q8_instance, [0], trials=-2, seed=5)
+
     def test_zero_noise_all_succeed(self, q8_instance):
         report = decoder_sweep(q8_instance, [0], trials=20, seed=5)
         assert report.rows[0].success_rate == 1.0
