@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -49,7 +48,8 @@ class GroundSet:
     pattern r is known to lie at Ulam distance d from perms[c], the
     triangle inequality puts it at least that far from perms[x]. The
     table has p * (q + 1) rows of p entries and is built on first access,
-    not at certification.
+    not at certification. The search reads whole rows, which is faster
+    than computing the abs per entry.
     """
 
     q: int
@@ -59,23 +59,22 @@ class GroundSet:
     pair_lcs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     by_first_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     gathers: tuple[itemgetter, ...] = field(compare=False, repr=False)
+    # bound_rows, filled on first use. Not a cached_property: on CPython
+    # 3.11 its write to __dict__ makes every attribute read of the set
+    # about three times slower, which costs the stage kernel on small q.
+    _bound_rows: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     @property
     def p(self) -> int:
         return len(self.perms)
 
-    @cached_property
-    def equidistant(self) -> bool:
-        """Whether every pair of distinct perms has the same LCS."""
-        return len({l for row in self.pair_lcs for l in row}) <= 2  # q on the diagonal
-
-    @cached_property
-    def bound_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        rows = []
-        for lcs_row in self.pair_lcs:
-            far = [self.q - l for l in lcs_row]  # Ulam distances from perms[c]
-            rows.append(tuple(tuple(abs(f - d) for f in far) for d in range(self.q + 1)))
-        return tuple(rows)
+    @property
+    def bound_rows(self) -> list[tuple[tuple[int, ...], ...]]:
+        if not self._bound_rows:
+            for lcs_row in self.pair_lcs:
+                far = [self.q - l for l in lcs_row]  # Ulam distances from perms[c]
+                self._bound_rows.append(tuple(tuple(abs(f - d) for f in far) for d in range(self.q + 1)))
+        return self._bound_rows
 
     def __repr__(self) -> str:
         return f"GroundSet(q={self.q}, p={self.p}, max_lcs={self.certified_max_lcs})"

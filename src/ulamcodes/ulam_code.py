@@ -51,9 +51,6 @@ index) is scored next, and the search stops once that pair is no smaller
 than (best distance, best index). No unscored candidate can then win, so
 the result is the full scan's argmin, ties going to the smallest index.
 The bound rows come from the ground set's table (GroundSet.bound_rows).
-When all pairwise distances of the ground set are equal, every scored
-candidate bounds all others alike, so the bounds are one number and the
-order is index order; that case is scanned without the table.
 
 Everything here is pure; params objects are immutable after validation.
 """
@@ -329,23 +326,12 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     for c in starts:
         if perms[c] == rank:
             return c
-    best = start = starts[0] if starts else 0
+    best = starts[0] if starts else 0
     best_d = ulam_distance(rank, perms[best])
     separation = len(rank) - ground.certified_max_lcs
     if 2 * best_d < separation:
-        return best  # every other candidate is farther than best_d
-    if ground.equidistant:
-        # every pivot bounds all other candidates alike: best-first order
-        # is index order and the bounds are one number
-        bound = abs(separation - best_d)
-        for x in range(len(perms)):
-            if bound > best_d or (bound == best_d and x >= best):
-                break
-            if x != start:
-                d = ulam_distance(rank, perms[x])
-                if d < best_d or (d == best_d and x < best):
-                    best, best_d = x, d
-                bound = max(bound, abs(separation - d))
+        # every other candidate is farther than best_d: the stop rule below
+        # would return best on its first test, after a min over p bounds
         return best
     rows = ground.bound_rows
     # lower[x] <= d(rank, sigma_x), with equality for every scored x, so no

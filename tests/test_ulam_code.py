@@ -427,7 +427,8 @@ def _equidistant_ground(q, lcs, seed):
 # XOR sets hold at most one permutation per first symbol; the brute-force
 # and shuffled sets hold several, in no particular index order. The q = 64
 # set is the paper's regime (max LCS q/4), where the triangle bounds
-# separate candidates widely; the equidistant sets take the one-bound scan.
+# separate candidates widely; in the equidistant sets every scored
+# candidate bounds all others alike.
 XOR_GROUNDS = [
     uc.xor_ground_set(8, uc.identity_code(2, 3)),
     uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)),
@@ -505,12 +506,6 @@ class TestPrunedGuess:
         for ground in XOR_GROUNDS:
             assert max(len(cs) for cs in ground.by_first_symbol) == 1
 
-    def test_equidistant_flag(self):
-        assert [g.equidistant for g in XOR_GROUNDS] == [False, True, False, False, False, False, False]
-        assert SHARED_FIRST_GROUNDS[-1].equidistant
-        assert not any(g.equidistant for g in SHARED_FIRST_GROUNDS[:-1])
-        assert uc.ground_set_from_perms(3, [(2, 0, 1)]).equidistant
-
     @given(rank_patterns(XOR_GROUNDS), st.integers(0, 2**32))
     @settings(max_examples=300)
     def test_matches_full_scan_on_xor_grounds(self, case, relabel_seed):
@@ -544,7 +539,7 @@ class TestPrunedGuess:
             )
         else:
             ground = _equidistant_ground(q, q - 2, seed)
-            assert ground.equidistant and ground.p > 3
+            assert {l for row in ground.pair_lcs for l in row} == {q - 2, q} and ground.p > 3
         ties = 0
         for rank in itertools.permutations(range(q)):
             distances = [ulam_distance(rank, sigma) for sigma in ground.perms]
