@@ -13,18 +13,19 @@ is an exact power of the alphabet additionally expose the digit-string
 codeword lies within ``decoding_radius`` of the input.
 
 Available constructions: Reed-Solomon with Gao decoding (Berlekamp-Welch
-kept as oracle), greedy Gilbert-Varshamov searched codeword lists with
-brute-force nearest-codeword decoding, code concatenation
-(inner-then-outer decoding), plus repetition and identity codes for
-plumbing. Codes are immutable after construction and safe for concurrent
-use.
+kept as oracle), explicit codeword lists such as the greedy
+Gilbert-Varshamov codes with nearest-codeword decoding through packed
+agreement counts, code concatenation (inner-then-outer decoding), plus
+repetition and identity codes for plumbing. Codes are immutable after
+construction and safe for concurrent use.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
@@ -138,6 +139,10 @@ class ReedSolomonCode(BlockCode):
         self.decoding_radius = (n - k) // 2
         self.size = field.order**k
         self.points = tuple(range(n))
+        # _interpolation_tables(), filled on the first decode. Not a
+        # cached_property: on CPython 3.11 its write to __dict__ makes every
+        # later attribute read of the code about three times slower.
+        self._interpolation: tuple = ()
 
     def __repr__(self) -> str:
         return f"ReedSolomonCode(GF({self.field.order}), n={self.block_length}, k={self.k})"
@@ -156,8 +161,7 @@ class ReedSolomonCode(BlockCode):
             f.check(c)
         return tuple(f.eval_poly(message, a) for a in self.points)
 
-    @cached_property
-    def _interpolation(self) -> tuple[list[int], tuple[list[int], ...]]:
+    def _interpolation_tables(self) -> tuple[list[int], tuple[list[int], ...]]:
         """
         g0 = prod (x - a_i), and for each point a_i the row -L_i of the
         Lagrange basis (L_i(a_j) = [i == j]), coefficients ascending.
@@ -183,6 +187,8 @@ class ReedSolomonCode(BlockCode):
         # Euclidean algorithm on (g0, g1) until the remainder g has
         # 2*deg(g) < n + k, keeping g1's cofactor v; the message polynomial
         # is g / v.
+        if not self._interpolation:
+            self._interpolation = self._interpolation_tables()
         g0, rows = self._interpolation
         g1 = [0] * n
         for r, row in zip(word, rows):
@@ -315,10 +321,16 @@ def rs_code(field_order: int, n: int, k: int) -> ReedSolomonCode:
 class ExplicitCode(BlockCode):
     """
     A code given by its codeword list. Message x is codewords[x];
-    decoding scans for the nearest codeword and fails beyond the radius.
-    min_distance is the exact minimum pairwise Hamming distance, computed
-    on construction (for a single codeword it is the block length,
-    vacuously).
+    decoding returns the nearest codeword (the first one on ties) and
+    fails beyond the radius. min_distance is the exact minimum pairwise
+    Hamming distance, computed on construction (for a single codeword it
+    is the block length, vacuously).
+
+    Both come from packed agreement counts. The integer _cols[j][s] has
+    one field per codeword, the smallest array item that holds
+    block_length, and field c is 1 when codeword c has symbol s at
+    position j. Summing the integers a word selects therefore counts its
+    agreements with every codeword in block_length big-integer additions.
     """
 
     def __init__(self, alphabet_size: int, words: Sequence[Sequence[int]], label: str = "explicit"):
@@ -341,12 +353,22 @@ class ExplicitCode(BlockCode):
         self.size = len(tup)
         self.words = tup
         self.label = label
-        if self.size >= 2:
-            self.min_distance = min(
-                hamming_distance(a, b) for a, b in itertools.combinations(tup, 2)
-            )
-        else:
-            self.min_distance = length
+        self._typecode = next(t for t in "BHILQ" if 256 ** array(t).itemsize > length)
+        width = array(self._typecode).itemsize
+        self._nbytes = width * self.size
+        # one dict per position keeps the table to the symbols that occur,
+        # whatever the alphabet size
+        self._cols: list[dict[int, int]] = [{} for _ in range(length)]
+        for c, w in enumerate(tup):
+            bit = 1 << (8 * width * c)
+            for col, s in zip(self._cols, w):
+                col[s] = col.get(s, 0) + bit
+        self._zeros = (0,) * length
+        # each codeword's largest agreement with another one
+        self.min_distance = length - max(
+            max(counts[:c] + counts[c + 1 :], default=0)
+            for c, counts in enumerate(map(self._agreements, tup))
+        )
         self.decoding_radius = (self.min_distance - 1) // 2
 
     def __repr__(self) -> str:
@@ -355,25 +377,31 @@ class ExplicitCode(BlockCode):
             f"[{self.block_length}, size {self.size}, d={self.min_distance}])"
         )
 
+    def _agreements(self, word: Sequence[int]) -> bytes | array:
+        """The number of positions where word agrees with each codeword, in codeword order."""
+        packed = sum(map(dict.get, self._cols, word, self._zeros))
+        counts = packed.to_bytes(self._nbytes, "little")
+        if self._typecode == "B":
+            return counts
+        counts = array(self._typecode, counts)
+        if sys.byteorder == "big":
+            counts.byteswap()
+        return counts
+
     def encode_index(self, x: int) -> tuple[int, ...]:
         if not 0 <= x < self.size:
             raise ValueError(f"message index {x} out of range [0, {self.size})")
         return self.words[x]
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
-        word = self.check_word(word)
-        best, best_d = 0, self.block_length + 1
-        for i, cw in enumerate(self.words):
-            d = hamming_distance(cw, word)
-            if d < best_d:
-                best, best_d = i, d
-                if d == 0:
-                    break
+        counts = self._agreements(self.check_word(word))
+        top = max(counts)
+        best_d = self.block_length - top
         if best_d > self.decoding_radius:
             return DecodeFailure(
                 f"nearest codeword at distance {best_d} > radius {self.decoding_radius}"
             )
-        return best
+        return counts.index(top)
 
 
 def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> ExplicitCode:
@@ -383,6 +411,12 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
     Hamming distance >= min_distance from all kept words. Deterministic;
     the resulting size is at least alphabet^length / V(length, d-1) with
     V the Hamming-ball volume.
+
+    Agreements with the kept words are packed as in ExplicitCode, one
+    byte per kept word, and each byte starts at 127 - (length - d): its
+    top bit is set exactly when the candidate agrees with that word in
+    more than length - d places, so one AND rejects it. The search-space
+    limit keeps length <= 23, so a byte never overflows.
     """
     if min_distance < 1 or min_distance > length:
         raise ParameterError(
@@ -392,21 +426,25 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
         raise ParameterError(
             f"search space {alphabet_size}^{length} exceeds {GV_SEARCH_LIMIT}"
         )
+    cols = [[0] * alphabet_size for _ in range(length)]
+    last = cols[-1]
+    start = 127 - (length - min_distance)
+    bias = top_bits = 0  # start and 0x80 in every kept word's byte
     chosen: list[tuple[int, ...]] = []
-    for word in itertools.product(range(alphabet_size), repeat=length):
-        ok = True
-        for cw in chosen:
-            mismatches = 0
-            for a, b in zip(word, cw):
-                if a != b:
-                    mismatches += 1
-                    if mismatches >= min_distance:
-                        break
-            if mismatches < min_distance:
-                ok = False
-                break
-        if ok:
-            chosen.append(word)
+    # the prefix sum is shared by the alphabet_size words that extend it
+    for prefix in itertools.product(range(alphabet_size), repeat=length - 1):
+        partial = sum(map(list.__getitem__, cols, prefix), bias)
+        for s in range(alphabet_size):
+            if not (partial + last[s]) & top_bits:
+                word = prefix + (s,)
+                shift = 8 * len(chosen)
+                for col, x in zip(cols, word):
+                    col[x] += 1 << shift
+                bias += start << shift
+                top_bits += 0x80 << shift
+                # the new word agrees with its own prefix everywhere
+                partial += (start + length - 1) << shift
+                chosen.append(word)
     return ExplicitCode(alphabet_size, chosen, label=f"gv(d>={min_distance})")
 
 

@@ -357,6 +357,8 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise ParameterError(f"--sample must be >= 1, got {args.sample}")
     params = _config_from_args(args).resolve()
     if args.sample is not None and args.seed is None:
         raise ParameterError("--sample requires --seed")
@@ -367,6 +369,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.trials < 1:
+        raise ParameterError(f"--trials must be >= 1, got {args.trials}")
     params = _config_from_args(args).resolve()
     t_values = _parse_flag(
         "--t-list", args.t_list,

@@ -63,8 +63,8 @@ def audit_pairwise(
     encoded lazily (message spaces beyond the budget stay auditable), and
     injectivity is certified on the sampled pairs only.
     """
-    if sample_pairs is not None and sample_pairs < 0:
-        raise ParameterError(f"sample_pairs must be >= 0, got {sample_pairs}")
+    if sample_pairs is not None and sample_pairs < 1:
+        raise ParameterError(f"sample_pairs must be >= 1, got {sample_pairs}")
     start = time.monotonic()
     m, n = params.message_count, params.n
     total_pairs = m * (m - 1) // 2
@@ -154,7 +154,7 @@ class SweepRow:
 
     @property
     def success_rate(self) -> float:
-        return self.successes / self.trials if self.trials else 1.0
+        return self.successes / self.trials
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,8 @@ def decoder_sweep(
     guarantee must recover its message; such trials failing (or decoding
     to a different message) count as radius violations.
     """
-    if trials < 0:
-        raise ParameterError(f"trials must be >= 0, got {trials}")
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     start = time.monotonic()
     rng = random.Random(seed)
     m = params.message_count

@@ -218,9 +218,12 @@ class TestGaoAgainstBerlekampWelch:
     def test_interpolation_tables_built_on_first_decode(self):
         code = rs_code(16, 16, 8)
         code.encode_index(7)
-        assert "_interpolation" not in vars(code)
+        assert code._interpolation == ()
+        attributes = set(vars(code))
         assert code.decode_word(code.encode_index(7)) == 7
-        g0, rows = vars(code)["_interpolation"]
+        # filled in place: a decode adds no instance attribute
+        assert set(vars(code)) == attributes
+        g0, rows = code._interpolation
         f = code.field
         # g0 vanishes on every point; row i is -L_i, so -1 at a_i and 0 elsewhere
         assert len(g0) == code.block_length + 1
@@ -309,6 +312,88 @@ class TestExplicitCode:
         path.write_text("2 2 3\n0 0\n1 1\n")
         with pytest.raises(ValueError):
             load_explicit_code(str(path))
+
+
+def nearest_codeword_scan(code, word):
+    """The plain nearest-codeword scan: oracle for ExplicitCode.decode_word."""
+    word = code.check_word(word)
+    best, best_d = 0, code.block_length + 1
+    for i, cw in enumerate(code.codewords()):
+        d = hamming_distance(cw, word)
+        if d < best_d:
+            best, best_d = i, d
+    if best_d > code.decoding_radius:
+        return DecodeFailure(
+            f"nearest codeword at distance {best_d} > radius {code.decoding_radius}"
+        )
+    return best
+
+
+def greedy_gv_loop(alphabet_size, length, min_distance):
+    """The plain greedy Gilbert-Varshamov loop: oracle for greedy_gv_code."""
+    chosen = []
+    for word in itertools.product(range(alphabet_size), repeat=length):
+        if all(hamming_distance(word, cw) >= min_distance for cw in chosen):
+            chosen.append(word)
+    return chosen
+
+
+@st.composite
+def explicit_codes(draw):
+    """Random explicit codes, alphabets past one byte and lengths past 255 included."""
+    alphabet = draw(st.sampled_from([2, 3, 5, 256, 257, 70000]))
+    length = draw(st.sampled_from([1, 2, 3, 7, 16, 255, 256, 300]))
+    size = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # codewords drift from one base word so that some lie close together
+    base = [rng.randrange(alphabet) for _ in range(length)]
+    spread = draw(st.integers(1, length))
+    words = {tuple(base)}
+    for _ in range(size - 1):
+        word = list(base)
+        for i in rng.sample(range(length), rng.randint(0, spread)):
+            word[i] = rng.randrange(alphabet)
+        words.add(tuple(word))
+    return ExplicitCode(alphabet, list(words)), rng
+
+
+class TestPackedAgreements:
+    def test_decode_matches_scan_on_every_word(self):
+        code = greedy_gv_code(4, 6, 3)
+        for word in itertools.product(range(4), repeat=6):
+            assert code.decode_word(word) == nearest_codeword_scan(code, word)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 63), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=8))
+    def test_decode_matches_scan_on_gv64_code(self, q8_instance, x, changes):
+        code = q8_instance.code  # greedy_gv_code(4, 8, 5)
+        word = list(code.encode_index(x))
+        for i, v in changes:
+            word[i] = v
+        assert code.decode_word(word) == nearest_codeword_scan(code, word)
+
+    @settings(max_examples=60, deadline=None)
+    @given(explicit_codes())
+    def test_random_codes_match_scan_and_pairwise_distance(self, code_and_rng):
+        code, rng = code_and_rng
+        if code.size >= 2:
+            assert code.min_distance == exact_min_distance(code)
+        else:
+            assert code.min_distance == code.block_length
+        n, alphabet = code.block_length, code.alphabet_size
+        for _ in range(8):
+            word = list(code.encode_index(rng.randrange(code.size)))
+            for i in rng.sample(range(n), rng.randint(0, n)):
+                word[i] = rng.randrange(alphabet)
+            assert code.decode_word(word) == nearest_codeword_scan(code, word)
+
+    @pytest.mark.parametrize(
+        "alphabet,length,d", [(4, 8, 5), (2, 3, 2), (4, 4, 3), (2, 10, 3), (3, 7, 3), (2, 12, 4)]
+    )
+    def test_greedy_search_matches_loop(self, alphabet, length, d):
+        assert list(greedy_gv_code(alphabet, length, d).codewords()) == greedy_gv_loop(
+            alphabet, length, d
+        )
 
 
 class TestConcatenation:

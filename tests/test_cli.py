@@ -262,15 +262,18 @@ def test_malformed_descriptor_quotes_it_and_its_shape(capsys, flag, desc, messag
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["audit", "--sample", "-5", "--seed", "1"], "sample_pairs must be >= 0, got -5"),
-        (["sweep", "--t-list", "0", "--trials", "-2", "--seed", "1"], "trials must be >= 0, got -2"),
+        (["audit", "--sample", "-5", "--seed", "1"], "--sample must be >= 1, got -5"),
+        (["sweep", "--t-list", "0", "--trials", "-2", "--seed", "1"], "--trials must be >= 1, got -2"),
+        (["audit", "--sample", "0", "--seed", "1"], "--sample must be >= 1, got 0"),
+        (["sweep", "--t-list", "0", "--trials", "0", "--seed", "1"], "--trials must be >= 1, got 0"),
         (["encode", "--msg", "abc"], "--msg must be an integer, got 'abc'"),
         (["encode", "--raw-shufflers", "1,x"],
          "--raw-shufflers must be integers separated by spaces, commas and ';', got '1,x'"),
         (["sweep", "--t-list", "1,x", "--seed", "1"],
          "--t-list must be comma-separated integers, got '1,x'"),
     ],
-    ids=["audit-sample", "sweep-trials", "encode-msg", "encode-raw-shufflers", "sweep-t-list"],
+    ids=["audit-sample", "sweep-trials", "audit-sample-zero", "sweep-trials-zero",
+         "encode-msg", "encode-raw-shufflers", "sweep-t-list"],
 )
 def test_bad_count_or_integer_flag_exits_1_naming_it(capsys, argv, message):
     assert main(argv + Q4_FLAGS) == 1

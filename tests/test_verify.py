@@ -5,7 +5,7 @@ import pytest
 
 import ulamcodes as uc
 from ulamcodes import verify
-from ulamcodes.block_codes import BlockCode
+from ulamcodes.block_codes import BlockCode, ExplicitCode
 from ulamcodes.errors import ParameterError
 from ulamcodes.verify import audit_pairwise, decoder_sweep, rate_report, report_json
 
@@ -40,10 +40,12 @@ class TestAuditPairwise:
 
     def test_single_message_vacuous(self):
         ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
-        code = uc.greedy_gv_code(2, 2, 2)  # size 2... shrink to 1 message below
+        code = ExplicitCode(2, [(0, 0)])  # one shuffler string
         params = uc.UlamCodeParams(q=2, ell=2, ground=ground, code=code)
-        # M = 4; emulate the vacuous case with sampling zero pairs instead
-        report = audit_pairwise(params, sample_pairs=0, seed=1)
+        assert params.message_count == 1
+        report = audit_pairwise(params)
+        assert report.mode == "exhaustive"
+        assert report.pairs_checked == 0
         assert report.passed
         assert report.min_distance is None
 
@@ -59,8 +61,12 @@ class TestAuditPairwise:
             audit_pairwise(swap_instance, sample_pairs=10)
 
     def test_negative_sample_rejected(self, swap_instance):
-        with pytest.raises(ParameterError, match="sample_pairs must be >= 0"):
+        with pytest.raises(ParameterError, match="sample_pairs must be >= 1, got -5"):
             audit_pairwise(swap_instance, sample_pairs=-5, seed=1)
+
+    def test_zero_sample_rejected(self, swap_instance):
+        with pytest.raises(ParameterError, match="sample_pairs must be >= 1, got 0"):
+            audit_pairwise(swap_instance, sample_pairs=0, seed=1)
 
     def test_injectivity_failure_reported(self):
         ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
@@ -111,8 +117,12 @@ class TestAuditPairwise:
 
 class TestDecoderSweep:
     def test_negative_trials_rejected(self, q8_instance):
-        with pytest.raises(ParameterError, match="trials must be >= 0"):
+        with pytest.raises(ParameterError, match="trials must be >= 1, got -2"):
             decoder_sweep(q8_instance, [0], trials=-2, seed=5)
+
+    def test_zero_trials_rejected(self, q8_instance):
+        with pytest.raises(ParameterError, match="trials must be >= 1, got 0"):
+            decoder_sweep(q8_instance, [0], trials=0, seed=5)
 
     def test_zero_noise_all_succeed(self, q8_instance):
         report = decoder_sweep(q8_instance, [0], trials=20, seed=5)
