@@ -39,7 +39,7 @@ for stage, w in enumerate([(1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1)], start=1):
     print(f"after stage {stage}:", pi, f"   shuffler {w}")
 
 # same answer in one call
-assert pi == run_stages([(1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1)], 2, swaps)
+assert pi == run_stages([(1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1)], swaps)
 
 # --- a full instance: n = 64, quaternary ground set over [8] ----------------
 ground = xor_ground_set(8, greedy_gv_code(2, 3, 2))

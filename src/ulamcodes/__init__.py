@@ -47,14 +47,11 @@ from .perm_core import (
 from .ulam_code import (
     CodeBounds,
     DecodeResult,
-    GroupKey,
     UlamCodeParams,
     apply_stage,
     code_bounds,
     decode,
     encode,
-    encode_shufflers,
-    guess_shuffler_symbol,
     message_to_shufflers,
     run_stages,
     shufflers_to_message,
@@ -67,7 +64,6 @@ __all__ = [
     "DecodeFailure",
     "DecodeResult",
     "GroundSet",
-    "GroupKey",
     "ParameterError",
     "RelocationTrace",
     "UlamCodeParams",
@@ -79,11 +75,9 @@ __all__ = [
     "decode",
     "decoder_sweep",
     "encode",
-    "encode_shufflers",
     "from_digits",
     "greedy_gv_code",
     "ground_set_from_perms",
-    "guess_shuffler_symbol",
     "identity",
     "identity_code",
     "lcs_length",

@@ -315,8 +315,9 @@ def _cmd_encode(args) -> int:
             "--raw-shufflers", args.raw_shufflers, parse_shufflers,
             "integers separated by spaces, commas and ';'",
         )
-        ground = cfg.resolve_ground()
-        word = ulam_code.run_stages(shufflers, ground.q, ground)
+        if cfg.ell is not None and cfg.ell != len(shufflers):
+            raise ParameterError(f"ell={cfg.ell} but --raw-shufflers has {len(shufflers)} stages")
+        word = ulam_code.run_stages(shufflers, cfg.resolve_ground())
     else:
         params = cfg.resolve()
         word = ulam_code.encode(_parse_flag("--msg", args.msg, int, "an integer"), params)

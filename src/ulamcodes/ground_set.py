@@ -71,9 +71,12 @@ class GroundSet:
     @property
     def bound_rows(self) -> list[tuple[tuple[int, ...], ...]]:
         if not self._bound_rows:
+            rows = []
             for lcs_row in self.pair_lcs:
                 far = [self.q - l for l in lcs_row]  # Ulam distances from perms[c]
-                self._bound_rows.append(tuple(tuple(abs(f - d) for f in far) for d in range(self.q + 1)))
+                rows.append(tuple(tuple(abs(f - d) for f in far) for d in range(self.q + 1)))
+            # published in one step, so no reader ever sees a partial table
+            self._bound_rows[:] = rows
         return self._bound_rows
 
     def __repr__(self) -> str:

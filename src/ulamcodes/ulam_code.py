@@ -16,8 +16,8 @@ group's contents:
 With step = q^(ell-i), the group at slot s = hi*step + lo holds the
 positions base, base + step, ..., base + (q-1)*step, base = hi*q*step +
 lo: one strided slice of [n]. _stage_groups is the one group walk; it
-lists a stage's slices in slot order, and the stage kernel, the decoder
-and group_positions all read it. A stage is applied per group as one
+lists a stage's slices in slot order, and the stage kernel and the
+decoder both read it. A stage is applied per group as one
 slice read, one C gather through the ground set's itemgetter for
 sigma_c, and one slice write.
 
@@ -60,41 +60,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import log
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
-from .perm_core import (
-    from_digits,
-    identity,
-    inverse,
-    restrict,
-    to_digits,
-    ulam_distance,
-    validate_permutation,
-)
+from .perm_core import identity, inverse, ulam_distance, validate_permutation
 
 ShufflerTuple = tuple[tuple[int, ...], ...]
-
-
-class GroupKey(NamedTuple):
-    """A stage-i group: digit prefix alpha (i-1 digits), suffix beta (ell-i digits)."""
-
-    stage: int
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-
-
-def group_slot(key: GroupKey, q: int) -> int:
-    """Shuffler slot of a group: the base-q value of alpha followed by beta."""
-    return from_digits(key.alpha + key.beta, q)
-
-
-def slot_group(stage: int, slot: int, q: int, ell: int) -> GroupKey:
-    """Inverse of group_slot for the given stage."""
-    digits = to_digits(slot, q, ell - 1) if ell > 1 else ()
-    return GroupKey(stage=stage, alpha=digits[: stage - 1], beta=digits[stage - 1 :])
 
 
 @cache
@@ -106,11 +79,6 @@ def _stage_groups(q: int, ell: int, stage: int) -> tuple[slice, ...]:
         for hi in range(0, q**ell, q * step)
         for base in range(hi, hi + step)
     )
-
-
-def group_positions(key: GroupKey, q: int, ell: int) -> tuple[int, ...]:
-    """The q positions alpha x beta, in increasing x order."""
-    return tuple(range(q**ell)[_stage_groups(q, ell, key.stage)[group_slot(key, q)]])
 
 
 @dataclass(frozen=True)
@@ -249,30 +217,20 @@ def apply_stage(
     return tuple(out)
 
 
-def run_stages(shufflers: Sequence[Sequence[int]], q: int, ground: GroundSet) -> tuple[int, ...]:
-    """Fold apply_stage over stages 1..len(shufflers), starting from identity."""
+def run_stages(shufflers: Sequence[Sequence[int]], ground: GroundSet) -> tuple[int, ...]:
+    """
+    The permutation produced by an explicit shuffler tuple (one length-n/q
+    string over [p] per stage): apply_stage folded over stages
+    1..len(shufflers), starting from the identity. The strings need not
+    be codewords of any block code.
+    """
     ell = len(shufflers)
     if ell < 1:
         raise ParameterError("need at least one stage")
-    pi = identity(q**ell)
+    pi = identity(ground.q**ell)
     for i, w in enumerate(shufflers, start=1):
         pi = apply_stage(pi, i, w, ground)
     return pi
-
-
-def encode_shufflers(shufflers: Sequence[Sequence[int]], params: UlamCodeParams) -> tuple[int, ...]:
-    """
-    The permutation produced by an explicit shuffler tuple (one length-n/q
-    string over [p] per stage). The strings need not be codewords of C.
-    """
-    if len(shufflers) != params.ell:
-        raise ParameterError(f"expected {params.ell} shufflers, got {len(shufflers)}")
-    for w in shufflers:
-        if len(w) != params.code.block_length:
-            raise ParameterError(
-                f"shuffler length {len(w)} != n/q = {params.code.block_length}"
-            )
-    return run_stages(shufflers, params.q, params.ground)
 
 
 # ------------------------------------------------------------------ encoding
@@ -308,10 +266,25 @@ def shufflers_to_message(shufflers: Sequence[Sequence[int]], params: UlamCodePar
 
 def encode(x: int, params: UlamCodeParams) -> tuple[int, ...]:
     """Codeword permutation of message x; injective over [M]."""
-    return encode_shufflers(message_to_shufflers(x, params), params)
+    return run_stages(message_to_shufflers(x, params), params.ground)
 
 
 # ------------------------------------------------------------------ decoding
+
+def _rank_patterns(
+    pos_of: Sequence[int], prev_star: Sequence[int], q: int, ell: int, stage: int
+) -> list[tuple[int, ...]]:
+    """
+    Each stage group's rank pattern, in shuffler-slot order: the x-indices
+    of the group's symbols prev_star[alpha x beta], listed in the order
+    they appear in the received permutation, whose inverse is pos_of.
+    """
+    patterns = []
+    for group in _stage_groups(q, ell, stage):
+        spots = [pos_of[sym] for sym in prev_star[group]]
+        patterns.append(tuple(sorted(range(q), key=spots.__getitem__)))
+    return patterns
+
 
 def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     """
@@ -349,30 +322,6 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
         lower = [a if a > b else b for a, b in zip(lower, rows[x][d])]
 
 
-def guess_shuffler_symbol(
-    received: Sequence[int],
-    prev_star: Sequence[int],
-    key: GroupKey,
-    ground: GroundSet,
-) -> int:
-    """
-    Guess one shuffler symbol: restrict the received permutation to the
-    group's symbol set A = {prev_star[alpha x beta]} and pick the ground
-    permutation minimizing the Ulam distance to its reordering of
-    prev_star.
-    """
-    q = ground.q
-    if len(key.alpha) != key.stage - 1:
-        raise ParameterError("group key needs len(alpha) == stage - 1")
-    ell = len(key.alpha) + 1 + len(key.beta)
-    positions = group_positions(key, q, ell)
-    x_of = {prev_star[m]: x for x, m in enumerate(positions)}
-    rank = tuple(x_of[sym] for sym in restrict(received, x_of))
-    if len(rank) != q:
-        raise ParameterError("received permutation misses group symbols")
-    return _best_symbol(rank, ground)
-
-
 @dataclass(frozen=True)
 class DecodeResult:
     message: int
@@ -403,12 +352,8 @@ def decode(pi: Sequence[int], params: UlamCodeParams) -> DecodeResult | DecodeFa
     prev_star = identity(n)
     stage_indices = []
     for i in range(1, ell + 1):
-        guessed = []
-        for group in _stage_groups(q, ell, i):
-            # the group's rank pattern: its x-indices in received order
-            spots = [pos_of[sym] for sym in prev_star[group]]
-            rank = tuple(sorted(range(q), key=spots.__getitem__))
-            guessed.append(_best_symbol(rank, ground))
+        ranks = _rank_patterns(pos_of, prev_star, q, ell, i)
+        guessed = [_best_symbol(rank, ground) for rank in ranks]
         idx = params.code.decode_word(tuple(guessed))
         if isinstance(idx, DecodeFailure):
             return DecodeFailure(f"stage {i}: {idx.reason}")

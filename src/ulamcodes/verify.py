@@ -59,8 +59,9 @@ def audit_pairwise(
     Check min pairwise Ulam distance >= the distance bound and that
     codewords are distinct. sample_pairs=None audits every pair
     (message_count*(message_count-1)/2 must fit the pair budget);
-    otherwise that many seeded uniform pairs are drawn, codewords are
-    encoded lazily (message spaces beyond the budget stay auditable), and
+    otherwise that many seeded uniform pairs are drawn and each pair
+    encodes both of its messages, so message spaces beyond the budget
+    stay auditable, memory does not grow with sample_pairs, and
     injectivity is certified on the sampled pairs only.
     """
     if sample_pairs is not None and sample_pairs < 1:
@@ -91,24 +92,10 @@ def audit_pairwise(
                     min_d, worst = d, (i, j)
         pairs_checked = total_pairs
     else:
-        # lazy encoding so huge message spaces stay auditable by sampling
         if seed is None:
             raise ParameterError("sampled audit needs a seed")
         mode = f"sample({sample_pairs})"
         rng = random.Random(seed)
-        tables: dict[int, tuple[int, ...]] = {}
-        words_cache: dict[int, tuple[int, ...]] = {}
-
-        def word_of(x: int) -> tuple[int, ...]:
-            if x not in words_cache:
-                words_cache[x] = encode(x, params)
-            return words_cache[x]
-
-        def table_of(x: int) -> tuple[int, ...]:
-            if x not in tables:
-                tables[x] = inverse(word_of(x))
-            return tables[x]
-
         injective = True
         pairs_checked = 0
         for _ in range(sample_pairs if m >= 2 else 0):
@@ -116,7 +103,7 @@ def audit_pairwise(
             j = rng.randrange(m - 1)
             if j >= i:
                 j += 1
-            d = n - _lis_length(table_of(i), word_of(j))
+            d = n - _lis_length(inverse(encode(i, params)), encode(j, params))
             pairs_checked += 1
             if d == 0:
                 injective = False

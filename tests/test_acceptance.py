@@ -52,7 +52,7 @@ def test_criterion_1_binary_three_stage_worked_example():
 def test_criterion_2_ternary_two_stage_worked_example():
     start = time.monotonic()
     ground = uc.ground_set_from_perms(3, [(0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 2, 0)])
-    out = uc.run_stages(((3, 0, 1), (2, 2, 3)), 3, ground)
+    out = uc.run_stages(((3, 0, 1), (2, 2, 3)), ground)
     # expected value re-derived independently (hand recurrence plus the
     # per-position digit-string oracle in test_ulam_code) before freezing
     assert out == (1, 3, 8, 4, 6, 5, 7, 2, 0)

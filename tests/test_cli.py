@@ -93,6 +93,20 @@ def test_raw_shuffler_encode_ternary_example(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1 3 8 4 6 5 7 2 0"
 
 
+def test_raw_shuffler_stage_count_must_match_ell(tmp_path, capsys):
+    raw = ["encode", "--q", "2", "--ground-set", "xor:all", "--raw-shufflers", "1 0; 1 1"]
+    assert main(raw + ["--ell", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: ell=3 but --raw-shufflers has 2 stages\n"
+    assert captured.out == ""
+    cfg = tmp_path / "instance.cfg"
+    cfg.write_text("ell=1\n")
+    assert main(raw + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: ell=1 but --raw-shufflers has 2 stages\n"
+    assert main(raw + ["--ell", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "1 2 3 0"
+
+
 def test_encode_decode_round_trip(tmp_path, capsys):
     out = tmp_path / "word.txt"
     assert main(["encode", "--msg", "1234", "--out", str(out), *Q4_FLAGS]) == 0

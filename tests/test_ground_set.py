@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 
@@ -181,6 +182,27 @@ class TestPairTable:
         for s, cs in enumerate(ground.by_first_symbol):
             assert list(cs) == sorted(cs) and all(ground.perms[c][0] == s for c in cs)
         assert sorted(c for cs in ground.by_first_symbol for c in cs) == list(range(ground.p))
+
+    def test_bound_rows_never_seen_partial(self):
+        # a reader that arrives while the table is being built (here: from
+        # inside the build, once its first row is done) must see either no
+        # table or the whole of it
+        base = xor_ground_set(8, identity_code(2, 3))
+        seen = []
+
+        class ReadingRows(tuple):
+            def __iter__(self):
+                rows = tuple.__iter__(self)
+                yield next(rows)
+                if not seen:
+                    seen.append(None)  # so the nested build does not read again
+                    seen[0] = len(ground.bound_rows)
+                yield from rows
+
+        ground = dataclasses.replace(base, pair_lcs=ReadingRows(base.pair_lcs))
+        assert len(ground.bound_rows) == ground.p
+        assert seen == [ground.p]
+        assert ground.bound_rows == base.bound_rows
 
 
 class TestFileFormat:

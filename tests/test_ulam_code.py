@@ -14,20 +14,14 @@ from ulamcodes.errors import ParameterError
 from ulamcodes.perm_core import (
     from_digits,
     identity,
+    inverse,
     is_permutation,
     lcs_length,
     restrict,
     to_digits,
     ulam_distance,
 )
-from ulamcodes.ulam_code import (
-    GroupKey,
-    _best_symbol,
-    _stage_groups,
-    group_positions,
-    group_slot,
-    slot_group,
-)
+from ulamcodes.ulam_code import _best_symbol, _rank_patterns, _stage_groups
 
 # ---------------------------------------------------------------- oracles
 
@@ -43,6 +37,17 @@ def reference_stage(pi, stage, shuffler, perms, q, ell):
         src = from_digits(alpha + (y,) + beta, q)
         out[m] = pi[src]
     return tuple(out)
+
+
+def reference_rank_pattern(received, prev_star, stage, slot, q, ell):
+    """One group's rank pattern from its digit strings: restrict the
+    received permutation to the symbols prev_star[alpha x beta] and read
+    off their x-indices in received order."""
+    digits = to_digits(slot, q, ell - 1) if ell > 1 else ()
+    alpha, beta = digits[: stage - 1], digits[stage - 1 :]
+    positions = [from_digits(alpha + (x,) + beta, q) for x in range(q)]
+    x_of = {prev_star[m]: x for x, m in enumerate(positions)}
+    return tuple(x_of[sym] for sym in restrict(received, x_of))
 
 
 def reference_best_symbol(received_order, group_by_x, ground):
@@ -83,7 +88,7 @@ class TestWorkedExamples:
         assert s2 == (2, 7, 4, 1, 6, 5, 0, 3)
         s3 = uc.apply_stage(s2, 3, shufflers[2], ground)
         assert s3 == (2, 7, 4, 1, 6, 5, 3, 0)
-        assert uc.run_stages(shufflers, 2, ground) == (2, 7, 4, 1, 6, 5, 3, 0)
+        assert uc.run_stages(shufflers, ground) == (2, 7, 4, 1, 6, 5, 3, 0)
         # independent per-position oracle agrees end to end
         assert reference_encode(shufflers, 2, BINARY_SWAPS) == (2, 7, 4, 1, 6, 5, 3, 0)
 
@@ -91,13 +96,13 @@ class TestWorkedExamples:
         ground = uc.ground_set_from_perms(3, TERNARY_PERMS)
         s1 = uc.apply_stage(identity(9), 1, (3, 0, 1), ground)
         assert s1 == (3, 1, 8, 6, 4, 5, 0, 7, 2)
-        out = uc.run_stages(((3, 0, 1), (2, 2, 3)), 3, ground)
+        out = uc.run_stages(((3, 0, 1), (2, 2, 3)), ground)
         assert out == (1, 3, 8, 4, 6, 5, 7, 2, 0)
         assert reference_encode(((3, 0, 1), (2, 2, 3)), 3, TERNARY_PERMS) == out
 
     def test_identity_shuffler_is_noop(self):
         ground = uc.ground_set_from_perms(3, TERNARY_PERMS)  # perms[0] is identity
-        pi = uc.run_stages(((0, 0, 0), (0, 0, 0)), 3, ground)
+        pi = uc.run_stages(((0, 0, 0), (0, 0, 0)), ground)
         assert pi == identity(9)
 
     def test_matches_reference_on_random_inputs(self):
@@ -107,7 +112,7 @@ class TestWorkedExamples:
             shufflers = tuple(
                 tuple(rng.randrange(4) for _ in range(3)) for _ in range(2)
             )
-            got = uc.run_stages(shufflers, 3, ground)
+            got = uc.run_stages(shufflers, ground)
             want = reference_encode(shufflers, 3, TERNARY_PERMS)
             assert got == want
 
@@ -208,42 +213,35 @@ class TestStageKernel:
             )
 
 
-class TestGroupKeys:
-    def test_slot_round_trip(self):
-        q, ell = 3, 4
-        for stage in range(1, ell + 1):
-            for slot in range(q ** (ell - 1)):
-                key = slot_group(stage, slot, q, ell)
-                assert len(key.alpha) == stage - 1
-                assert len(key.beta) == ell - stage
-                assert group_slot(key, q) == slot
+def _group_positions(q, ell, stage, slot):
+    """The positions of one stage group, read from the group walk."""
+    return tuple(range(q**ell)[_stage_groups(q, ell, stage)[slot]])
 
+
+class TestGroupKeys:
     def test_positions_partition(self):
         q, ell = 3, 3
         for stage in range(1, ell + 1):
             seen = set()
-            groups = _stage_groups(q, ell, stage)
-            assert len(groups) == q ** (ell - 1)
+            assert len(_stage_groups(q, ell, stage)) == q ** (ell - 1)
             for slot in range(q ** (ell - 1)):
-                key = slot_group(stage, slot, q, ell)
-                pos = group_positions(key, q, ell)
+                pos = _group_positions(q, ell, stage, slot)
                 assert len(pos) == q
                 assert pos == tuple(sorted(pos))
-                # the walk agrees slot by slot with the digit strings alpha x beta
-                assert tuple(range(q**ell)[groups[slot]]) == pos == tuple(
-                    from_digits(key.alpha + (x,) + key.beta, q) for x in range(q)
-                )
+                # the walk agrees slot by slot with the digit strings alpha x beta,
+                # where alpha + beta spells the slot in base q
+                digits = to_digits(slot, q, ell - 1)
+                alpha, beta = digits[: stage - 1], digits[stage - 1 :]
+                assert pos == tuple(from_digits(alpha + (x,) + beta, q) for x in range(q))
                 seen.update(pos)
             assert seen == set(range(q**ell))
 
     def test_positions_share_all_other_digits(self):
-        q, ell = 2, 4
-        key = slot_group(2, 5, q, ell)
-        pos = group_positions(key, q, ell)
-        digit_strings = [to_digits(m, q, ell) for m in pos]
+        q, ell, stage = 2, 4, 2
+        digit_strings = [to_digits(m, q, ell) for m in _group_positions(q, ell, stage, 5)]
         for d in range(ell):
             values = {s[d] for s in digit_strings}
-            if d == key.stage - 1:
+            if d == stage - 1:
                 assert values == set(range(q))
             else:
                 assert len(values) == 1
@@ -298,16 +296,14 @@ class TestEncode:
         seen = {}
         for tup in itertools.product(range(code.size), repeat=swap_instance.ell):
             shufflers = tuple(code.encode_index(i) for i in tup)
-            word = uc.encode_shufflers(shufflers, swap_instance)
+            word = uc.run_stages(shufflers, swap_instance.ground)
             assert word not in seen
             seen[word] = tup
 
     def test_encode_agrees_with_raw_shuffler_path(self, swap_instance):
         for x in (0, 17, 511):
             shufflers = uc.message_to_shufflers(x, swap_instance)
-            assert uc.encode(x, swap_instance) == uc.encode_shufflers(
-                shufflers, swap_instance
-            )
+            assert uc.encode(x, swap_instance) == uc.run_stages(shufflers, swap_instance.ground)
 
     def test_pairwise_distance_meets_bound_sampled(self, q4_instance):
         rng = random.Random(12)
@@ -346,10 +342,7 @@ class TestLcsMonotonicity:
                 stages2.append(uc.apply_stage(stages2[-1], stage, w2[stage - 1], ground))
 
             for slot in range(code.block_length):
-                key = slot_group(j, slot, q, ell)
-                symbols = set(
-                    stages1[j - 1][m] for m in group_positions(key, q, ell)
-                )
+                symbols = set(stages1[j - 1][_stage_groups(q, ell, j)[slot]])
                 at_j = lcs_length(
                     restrict(stages1[j], symbols), restrict(stages2[j], symbols)
                 )
@@ -367,17 +360,16 @@ class TestGuessSymbol:
     def test_uncorrupted_recovers_true_symbol(self, q4_instance):
         rng = random.Random(31)
         q, ell = q4_instance.q, q4_instance.ell
+        ground = q4_instance.ground
         for _ in range(20):
             x = rng.randrange(q4_instance.message_count)
             shufflers = uc.message_to_shufflers(x, q4_instance)
-            word = uc.encode_shufflers(shufflers, q4_instance)
+            pos_of = inverse(uc.run_stages(shufflers, ground))
             prev = identity(q4_instance.n)
             for stage in range(1, ell + 1):
-                for slot in range(q4_instance.code.block_length):
-                    key = slot_group(stage, slot, q, ell)
-                    got = uc.guess_shuffler_symbol(word, prev, key, q4_instance.ground)
-                    assert got == shufflers[stage - 1][slot]
-                prev = uc.apply_stage(prev, stage, shufflers[stage - 1], q4_instance.ground)
+                ranks = _rank_patterns(pos_of, prev, q, ell, stage)
+                assert [_best_symbol(rank, ground) for rank in ranks] == list(shufflers[stage - 1])
+                prev = uc.apply_stage(prev, stage, shufflers[stage - 1], ground)
 
     def test_good_pair_corruption_still_recovers(self, q8_instance):
         # relocations confined to one group, strictly fewer than half the
@@ -389,20 +381,15 @@ class TestGuessSymbol:
         for _ in range(50):
             x = rng.randrange(params.message_count)
             shufflers = uc.message_to_shufflers(x, params)
-            word = list(uc.encode_shufflers(shufflers, params))
+            word = list(uc.run_stages(shufflers, params.ground))
             slot = rng.randrange(params.code.block_length)
-            key = slot_group(1, slot, q, ell)
-            members = set(
-                identity(params.n)[m] for m in group_positions(key, q, ell)
-            )
+            members = set(identity(params.n)[_stage_groups(q, ell, 1)[slot]])
             # relocate up to 2 of the group's own symbols
             for _ in range(rng.randrange(1, 3)):
                 src = word.index(rng.choice(sorted(members)))
                 word.insert(rng.randrange(len(word)), word.pop(src))
-            got = uc.guess_shuffler_symbol(
-                tuple(word), identity(params.n), key, params.ground
-            )
-            assert got == shufflers[0][slot]
+            rank = _rank_patterns(inverse(word), identity(params.n), q, ell, 1)[slot]
+            assert _best_symbol(rank, params.ground) == shufflers[0][slot]
 
     def test_tie_breaks_to_smallest_index(self):
         # received (1,0,3,2) sits at Ulam distance 1 from the first two
@@ -410,9 +397,30 @@ class TestGuessSymbol:
         ground4 = uc.ground_set_from_perms(
             4, [(1, 0, 2, 3), (0, 1, 3, 2), (0, 1, 2, 3)]
         )
-        key = GroupKey(stage=1, alpha=(), beta=())
         received = (1, 0, 3, 2)
-        assert uc.guess_shuffler_symbol(received, identity(4), key, ground4) == 0
+        (rank,) = _rank_patterns(inverse(received), identity(4), 4, 1, 1)
+        assert rank == received
+        assert _best_symbol(rank, ground4) == 0
+
+    @given(
+        st.sampled_from(
+            [(q, ell, stage) for q, ell in [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2)]
+             for stage in range(1, ell + 1)]
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rank_patterns_match_reference(self, shape, rng):
+        q, ell, stage = shape
+        received = list(range(q**ell))
+        prev_star = list(range(q**ell))
+        rng.shuffle(received)
+        rng.shuffle(prev_star)
+        got = _rank_patterns(inverse(received), prev_star, q, ell, stage)
+        assert got == [
+            reference_rank_pattern(received, prev_star, stage, slot, q, ell)
+            for slot in range(q ** (ell - 1))
+        ]
 
 
 def _equidistant_ground(q, lcs, seed):
