@@ -16,7 +16,8 @@ rs = rs_code(5, 5, 2)
 word = rs.encode((1, 2))  # the polynomial 1 + 2x
 print(f"RS [5,2,4] over GF(5): encode (1,2) -> {word}")
 corrupted = (1, 3, 4, 2, 4)
-print(f"decode {corrupted} (one corrupted position) -> {rs.decode(corrupted)}")
+# decode_word returns the message index, the base-5 value of the digits (1, 2)
+print(f"decode {corrupted} (one corrupted position) -> {rs.decode_word(corrupted)}")
 hopeless = (4, 0, 0, 1, 3)
 print(f"decode a far word -> {rs.decode_word(hopeless)!r}")
 assert isinstance(rs.decode_word(hopeless), DecodeFailure)

@@ -14,13 +14,13 @@ LCS: total pairwise distance >= C.min_distance * (q - max_lcs).
 from ulamcodes import (
     DecodeFailure,
     apply_stage,
-    code_bounds,
     decode,
     encode,
     ground_set_from_perms,
     greedy_gv_code,
     identity,
     message_to_shufflers,
+    rate_report,
     relocate,
     run_stages,
     ulam_distance,
@@ -45,12 +45,11 @@ assert pi == run_stages([(1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1)], swaps)
 ground = xor_ground_set(8, greedy_gv_code(2, 3, 2))
 code = greedy_gv_code(4, 8, 5)
 params = UlamCodeParams(q=8, ell=2, ground=ground, code=code)
-bounds = code_bounds(params)
 print(f"\ninstance: {params}")
 print(f"pairwise distance bound : {params.distance_bound} "
       f"(= {code.min_distance} * ({params.q} - {ground.certified_max_lcs}))")
 print(f"decoding guarantee      : below {params.decode_guarantee} relocations")
-print(f"rate lower bound        : {bounds.rate_lower:.4f}")
+print(f"rate lower bound        : {rate_report(params).rate_lower:.4f}")
 
 x = 2025
 shufflers = message_to_shufflers(x, params)

@@ -45,22 +45,18 @@ from .perm_core import (
     ulam_distance,
 )
 from .ulam_code import (
-    CodeBounds,
     DecodeResult,
     UlamCodeParams,
     apply_stage,
-    code_bounds,
     decode,
     encode,
     message_to_shufflers,
     run_stages,
-    shufflers_to_message,
 )
 from .verify import audit_pairwise, decoder_sweep, rate_report
 
 __all__ = [
     "BlockCode",
-    "CodeBounds",
     "DecodeFailure",
     "DecodeResult",
     "GroundSet",
@@ -70,7 +66,6 @@ __all__ = [
     "apply_stage",
     "audit_pairwise",
     "brute_force_ground_set",
-    "code_bounds",
     "concat_code",
     "decode",
     "decoder_sweep",
@@ -94,7 +89,6 @@ __all__ = [
     "run_stages",
     "save_explicit_code",
     "save_ground_set",
-    "shufflers_to_message",
     "to_digits",
     "ulam_distance",
     "verify_ground_set",

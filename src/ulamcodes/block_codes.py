@@ -4,9 +4,7 @@ Hamming-metric block codes over finite alphabets with unique decoding.
 Every code numbers its messages 0..size-1 and implements
 ``encode_index``/``decode_word`` on that numbering (for structured codes
 the numbering is the base-alphabet value of the message digit string;
-for explicit codeword lists it is the list position). Codes whose size
-is an exact power of the alphabet additionally expose the digit-string
-``encode``/``decode``; for the others ``message_length`` is None.
+for explicit codeword lists it is the list position).
 
 ``decode_word`` never raises on a decoding miss: it returns a
 ``DecodeFailure`` value, and it never returns a wrong message when some
@@ -51,45 +49,11 @@ class BlockCode:
     decoding_radius: int
     size: int
 
-    @property
-    def message_length(self) -> int | None:
-        """k with size == alphabet^k, or None when size is not such a power."""
-        k, value = 0, 1
-        while value < self.size:
-            value *= self.alphabet_size
-            k += 1
-        return k if value == self.size else None
-
     def encode_index(self, x: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         raise NotImplementedError
-
-    def encode(self, message: Sequence[int]) -> tuple[int, ...]:
-        """Encode a base-alphabet message digit string of length message_length."""
-        k = self.message_length
-        if k is None:
-            raise ParameterError(
-                f"{self!r} has {self.size} messages, not an alphabet power; "
-                "use encode_index"
-            )
-        if len(message) != k:
-            raise ValueError(f"message length must be {k}, got {len(message)}")
-        return self.encode_index(from_digits(message, self.alphabet_size))
-
-    def decode(self, word: Sequence[int]) -> tuple[int, ...] | DecodeFailure:
-        """Digit-string counterpart of decode_word."""
-        k = self.message_length
-        if k is None:
-            raise ParameterError(
-                f"{self!r} has {self.size} messages, not an alphabet power; "
-                "use decode_word"
-            )
-        x = self.decode_word(word)
-        if isinstance(x, DecodeFailure):
-            return x
-        return to_digits(x, self.alphabet_size, k)
 
     def codewords(self) -> Iterator[tuple[int, ...]]:
         return (self.encode_index(x) for x in range(self.size))
@@ -585,11 +549,11 @@ def save_explicit_code(path: str, code: BlockCode) -> None:
             fh.write(" ".join(str(d) for d in cw) + "\n")
 
 
-def load_explicit_code(path: str, label: str | None = None) -> ExplicitCode:
+def load_explicit_code(path: str) -> ExplicitCode:
     rows = read_int_rows(path)
     if not rows or len(rows[0]) != 3:
         raise ValueError(f"bad explicit-code header in {path!r}")
     (alphabet_size, length, size), words = rows[0], rows[1:]
     if len(words) != size or any(len(w) != length for w in words):
         raise ValueError(f"explicit-code body of {path!r} disagrees with header")
-    return ExplicitCode(alphabet_size, words, label=label or path)
+    return ExplicitCode(alphabet_size, words, label=path)

@@ -51,9 +51,7 @@ class InstanceConfig:
             raise ParameterError("instance needs q and ell (flags or config file)")
         if self.ell < 1:
             raise ParameterError(f"ell must be >= 1, got {self.ell}")
-        if self.ground is None:
-            raise ParameterError("instance needs a ground-set descriptor")
-        ground = resolve_ground_set(self.ground, self.q)
+        ground = self.resolve_ground()
         if self.code is None:
             raise ParameterError("instance needs a block-code descriptor")
         code = resolve_block_code(self.code, ground.p, self.q ** (self.ell - 1))
@@ -273,7 +271,6 @@ def _cmd_gen_ground_set(args) -> int:
 
 def _cmd_build(args) -> int:
     params = _config_from_args(args).resolve()
-    bounds = ulam_code.code_bounds(params)
     rates = verify.rate_report(params)
     if args.json:
         payload = {
@@ -288,9 +285,9 @@ def _cmd_build(args) -> int:
             "message_count": str(params.message_count),
             "distance_bound": params.distance_bound,
             "decode_guarantee": str(params.decode_guarantee),
-            "lcs_upper": str(bounds.lcs_upper),
-            "dist_lower": str(bounds.dist_lower),
-            "rate_lower": bounds.rate_lower,
+            "lcs_upper": str(params.n - params.distance_bound),
+            "dist_lower": str(params.distance_bound),
+            "rate_lower": rates.rate_lower,
             "rate": rates.rate,
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -301,7 +298,7 @@ def _cmd_build(args) -> int:
     print(f"message_count={params.message_count}")
     print(f"distance_bound={params.distance_bound}")
     print(f"decode_guarantee={params.decode_guarantee}")
-    print(f"lcs_upper={bounds.lcs_upper} dist_lower={bounds.dist_lower}")
+    print(f"lcs_upper={params.n - params.distance_bound} dist_lower={params.distance_bound}")
     print(f"rate={rates.rate:.9f} rate_lower={rates.rate_lower:.9f}")
     return 0
 
@@ -317,7 +314,10 @@ def _cmd_encode(args) -> int:
         )
         if cfg.ell is not None and cfg.ell != len(shufflers):
             raise ParameterError(f"ell={cfg.ell} but --raw-shufflers has {len(shufflers)} stages")
-        word = ulam_code.run_stages(shufflers, cfg.resolve_ground())
+        # a given code is checked as for --msg; the strings need not be its codewords
+        cfg.ell = len(shufflers)
+        ground = cfg.resolve_ground() if cfg.code is None else cfg.resolve().ground
+        word = ulam_code.run_stages(shufflers, ground)
     else:
         params = cfg.resolve()
         word = ulam_code.encode(_parse_flag("--msg", args.msg, int, "an integer"), params)
@@ -328,9 +328,16 @@ def _cmd_encode(args) -> int:
     return 0
 
 
+def _first_permutation(path: str) -> tuple[int, ...]:
+    perms = perm_core.read_permutations(path)
+    if not perms:
+        raise ValueError(f"{path}: no permutation")
+    return perms[0]
+
+
 def _cmd_decode(args) -> int:
     params = _config_from_args(args).resolve()
-    word = perm_core.read_permutations(args.perm)[0]
+    word = _first_permutation(args.perm)
     result = ulam_code.decode(word, params)
     if isinstance(result, DecodeFailure):
         print(f"error: decode failed: {result.reason}", file=sys.stderr)
@@ -342,14 +349,14 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = perm_core.read_permutations(args.a)[0]
-    b = perm_core.read_permutations(args.b)[0]
+    a = _first_permutation(args.a)
+    b = _first_permutation(args.b)
     print(perm_core.ulam_distance(a, b))
     return 0
 
 
 def _cmd_corrupt(args) -> int:
-    word = perm_core.read_permutations(args.perm)[0]
+    word = _first_permutation(args.perm)
     corrupted, trace = channel.relocate(word, args.t, args.seed)
     print(perm_core.format_permutation(corrupted))
     if args.trace_out:

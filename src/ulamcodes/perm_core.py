@@ -168,8 +168,8 @@ def to_digits(m: int, q: int, length: int) -> tuple[int, ...]:
     >>> to_digits(7, 3, 2)
     (2, 1)
     """
-    if q < 2:
-        raise ValueError(f"base must be >= 2, got {q}")
+    if q < 1:
+        raise ValueError(f"base must be >= 1, got {q}")
     if not 0 <= m < q**length:
         raise ValueError(f"value {m} out of range [0, {q}^{length})")
     digits = []
@@ -186,8 +186,8 @@ def from_digits(digits: Sequence[int], q: int) -> int:
     >>> from_digits((1, 0, 1), 2)
     5
     """
-    if q < 2:
-        raise ValueError(f"base must be >= 2, got {q}")
+    if q < 1:
+        raise ValueError(f"base must be >= 1, got {q}")
     value = 0
     for d in digits:
         if not 0 <= d < q:

@@ -59,13 +59,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import log
 from typing import Sequence
 
 from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
-from .perm_core import identity, inverse, ulam_distance, validate_permutation
+from .perm_core import (
+    from_digits, identity, inverse, to_digits, ulam_distance, validate_permutation
+)
 
 ShufflerTuple = tuple[tuple[int, ...], ...]
 
@@ -152,33 +153,6 @@ class UlamCodeParams:
         )
 
 
-@dataclass(frozen=True)
-class CodeBounds:
-    """Instance-specific evaluations of the construction's guarantees."""
-
-    lcs_upper: Fraction
-    dist_lower: Fraction
-    rate_lower: float
-
-
-def code_bounds(params: UlamCodeParams) -> CodeBounds:
-    """
-    Evaluate the guaranteed bounds from the instance's actual parameters:
-    relative code distance delta_C = d_C / (n/q) and ground LCS cap
-    max_lcs(D). Distinct codewords have LCS at most
-    (delta_C * max_lcs/q + (1 - delta_C)) * n, hence Ulam distance at
-    least delta_C * (1 - max_lcs/q) * n; the rate (log of the codeword
-    count over log n!) is at least log_q(|C|) / n.
-    """
-    n, q = params.n, params.q
-    delta_c = Fraction(params.code.min_distance, params.code.block_length)
-    lcs_frac = Fraction(params.ground.certified_max_lcs, q)
-    lcs_upper = (delta_c * lcs_frac + (1 - delta_c)) * n
-    dist_lower = delta_c * (1 - lcs_frac) * n
-    rate_lower = log(params.code.size) / (n * log(q))
-    return CodeBounds(lcs_upper=lcs_upper, dist_lower=dist_lower, rate_lower=rate_lower)
-
-
 # ------------------------------------------------------------------- stages
 
 def apply_stage(
@@ -243,25 +217,7 @@ def message_to_shufflers(x: int, params: UlamCodeParams) -> ShufflerTuple:
     m = params.message_count
     if not 0 <= x < m:
         raise ParameterError(f"message {x} out of range [0, {m})")
-    coords = []
-    for _ in range(params.ell):
-        x, r = divmod(x, params.code.size)
-        coords.append(r)
-    coords.reverse()
-    return tuple(params.code.encode_index(c) for c in coords)
-
-
-def shufflers_to_message(shufflers: Sequence[Sequence[int]], params: UlamCodeParams) -> int:
-    """Inverse of message_to_shufflers; every stage string must be a codeword."""
-    if len(shufflers) != params.ell:
-        raise ParameterError(f"expected {params.ell} shufflers, got {len(shufflers)}")
-    x = 0
-    for w in shufflers:
-        idx = params.code.decode_word(w)
-        if isinstance(idx, DecodeFailure) or params.code.encode_index(idx) != tuple(w):
-            raise ParameterError(f"stage string {tuple(w)!r} is not a codeword")
-        x = x * params.code.size + idx
-    return x
+    return tuple(map(params.code.encode_index, to_digits(x, params.code.size, params.ell)))
 
 
 def encode(x: int, params: UlamCodeParams) -> tuple[int, ...]:
@@ -360,11 +316,8 @@ def decode(pi: Sequence[int], params: UlamCodeParams) -> DecodeResult | DecodeFa
         w_star = params.code.encode_index(idx)
         stage_indices.append(idx)
         prev_star = apply_stage(prev_star, i, w_star, ground)
-    x_star = 0
-    for idx in stage_indices:
-        x_star = x_star * params.code.size + idx
     if 4 * ulam_distance(pi, prev_star) >= params.distance_bound:
         return DecodeFailure(
             "no codeword within a quarter of the distance bound of the input"
         )
-    return DecodeResult(message=x_star, codeword=prev_star)
+    return DecodeResult(from_digits(stage_indices, params.code.size), prev_star)

@@ -20,7 +20,7 @@ from .block_codes import DecodeFailure
 from .channel import relocate
 from .errors import ParameterError
 from .perm_core import _lis_length, inverse, ulam_distance
-from .ulam_code import UlamCodeParams, code_bounds, decode, encode
+from .ulam_code import UlamCodeParams, decode, encode
 
 PAIR_BUDGET = 10_000_000
 
@@ -282,7 +282,6 @@ def rate_report(params: UlamCodeParams) -> RateReport:
     n, q = params.n, params.q
     log_m = params.ell * math.log(params.code.size)
     log_fact = math.fsum(math.log(i) for i in range(2, n + 1))
-    bounds = code_bounds(params)
     rate = log_m / log_fact if log_fact else float("inf")
     return RateReport(
         message_count=params.message_count,
@@ -290,7 +289,7 @@ def rate_report(params: UlamCodeParams) -> RateReport:
         log_message_count=log_m,
         log_factorial=log_fact,
         rate=rate,
-        rate_lower=bounds.rate_lower,
+        rate_lower=math.log(params.code.size) / (n * math.log(q)),
         ground_size_exponent=math.log(params.p) / math.log(q),
         code_rate=math.log(params.code.size) / (math.log(params.p) * params.code.block_length),
     )

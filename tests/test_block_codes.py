@@ -23,6 +23,7 @@ from ulamcodes.block_codes import (
 )
 from ulamcodes.block_codes import _berlekamp_welch_decode as berlekamp_welch_decode
 from ulamcodes.errors import ParameterError
+from ulamcodes.perm_core import from_digits
 
 
 def exact_min_distance(code):
@@ -68,7 +69,7 @@ class TestReedSolomon:
 
     def test_decode_corrupted_example(self):
         code = rs_code(5, 5, 2)
-        assert code.decode((1, 3, 4, 2, 4)) == (1, 2)
+        assert code.decode_word((1, 3, 4, 2, 4)) == from_digits((1, 2), 5)
 
     def test_injective_and_min_distance(self):
         code = rs_code(5, 5, 2)
@@ -283,15 +284,6 @@ class TestExplicitCode:
         with pytest.raises(ParameterError):
             ExplicitCode(2, [(0, 2)])
 
-    def test_message_length_only_for_alphabet_powers(self):
-        assert ExplicitCode(2, [(0, 0), (0, 1), (1, 0), (1, 1)]).message_length == 2
-        assert ExplicitCode(2, [(0, 0), (0, 1), (1, 0)]).message_length is None
-
-    def test_digit_api_requires_power_size(self):
-        code = ExplicitCode(2, [(0, 0), (0, 1), (1, 0)])
-        with pytest.raises(ParameterError):
-            code.encode((0,))
-
     def test_file_round_trip(self, tmp_path):
         code = greedy_gv_code(3, 4, 2)
         path = tmp_path / "code.txt"
@@ -441,7 +433,7 @@ class TestConcatenation:
 class TestTrivialCodes:
     def test_repetition(self):
         code = repetition_code(3, 4)
-        assert code.encode((2,)) == (2, 2, 2, 2)
+        assert code.encode_index(2) == (2, 2, 2, 2)
         assert code.decode_word((2, 1, 2, 2)) == 2
         assert isinstance(code.decode_word((0, 0, 1, 1)), DecodeFailure)
 
@@ -470,8 +462,6 @@ class TestSpecObject:
             concat_code(rs_code(4, 3, 1), identity_code(2, 2)),
         ]:
             assert code.decoding_radius <= (code.min_distance - 1) // 2
-            if code.message_length is not None:
-                assert code.alphabet_size**code.message_length == code.size
             words = list(code.codewords())
             assert len(set(words)) == code.size
             assert all(len(w) == code.block_length for w in words)

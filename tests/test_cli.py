@@ -107,6 +107,48 @@ def test_raw_shuffler_stage_count_must_match_ell(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1 2 3 0"
 
 
+def test_raw_shuffler_code_is_resolved_like_msg(tmp_path, capsys):
+    base = ["encode", "--q", "2", "--ground-set", "xor:all"]
+    raw = ["--raw-shufflers", "1 0; 1 1"]
+    for code in ["nonsense:1", "rep:2,4", "rep:3,2"]:
+        assert main(base + ["--ell", "2", "--code", code, "--msg", "0"]) == 1
+        expected = capsys.readouterr().err
+        assert expected.startswith("error: ") and expected.count("\n") == 1
+        assert main(base + ["--code", code] + raw) == 1
+        captured = capsys.readouterr()
+        assert (captured.err, captured.out) == (expected, "")
+    cfg = tmp_path / "instance.cfg"
+    cfg.write_text("code=nonsense:1\n")
+    assert main(base + ["--config", str(cfg)] + raw) == 1
+    assert capsys.readouterr().err == "error: unknown block-code descriptor 'nonsense:1'\n"
+    # a valid code is only checked against the instance: "1 0" is no
+    # repetition codeword
+    assert main(base + ["--code", "rep:2,2"] + raw) == 0
+    assert capsys.readouterr().out.strip() == "1 2 3 0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "--perm", "{empty}", *Q4_FLAGS],
+        ["distance", "{empty}", "{word}"],
+        ["distance", "{word}", "{empty}"],
+        ["corrupt", "--perm", "{empty}", "--t", "1", "--seed", "1"],
+    ],
+    ids=["decode", "distance-first", "distance-second", "corrupt"],
+)
+def test_empty_permutation_file_exits_1(tmp_path, capsys, argv):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n\n")
+    word = tmp_path / "word.txt"
+    word.write_text("0 1 2 3\n")
+    argv = [tok.format(empty=empty, word=word) for tok in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {empty}: no permutation\n"
+    assert captured.out == ""
+
+
 def test_encode_decode_round_trip(tmp_path, capsys):
     out = tmp_path / "word.txt"
     assert main(["encode", "--msg", "1234", "--out", str(out), *Q4_FLAGS]) == 0

@@ -239,6 +239,17 @@ class TestDigits:
         assert to_digits(0, 3, 2) == (0, 0)
         assert to_digits(7, 3, 2) == (2, 1)
 
+    def test_base_one(self):
+        # a one-codeword shuffler code numbers its single message in base 1
+        assert to_digits(0, 1, 3) == (0, 0, 0)
+        assert from_digits((0, 0, 0), 1) == 0
+        with pytest.raises(ValueError):
+            to_digits(1, 1, 3)
+        with pytest.raises(ValueError):
+            from_digits((1,), 1)
+        with pytest.raises(ValueError):
+            to_digits(0, 0, 1)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             to_digits(9, 3, 2)
