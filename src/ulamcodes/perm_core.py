@@ -12,14 +12,19 @@ number of single-symbol relocations turning one into the other, which
 equals the common length minus the length of a longest common subsequence.
 For distinct-symbol strings the LCS reduces, after relabeling one string
 by positions in the other, to a longest increasing subsequence, computed
-here by patience sorting in O(m log m). The quadratic dynamic program is
-kept alongside permanently as an independent oracle.
+here by patience sorting in O(m log m). A symbol that extends the top
+pile is appended without a search, so a near-sorted relabeling, which is
+what the decoder's distances between nearby words give, costs close to
+one comparison per symbol; the O(m log m) worst case is unchanged. The
+quadratic dynamic program is kept alongside permanently as an
+independent oracle.
 
 All functions are pure and operate on immutable values; they are safe to
 call concurrently.
 """
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
@@ -34,11 +39,23 @@ def is_permutation(word: Sequence[int]) -> bool:
     """
     Check that word is a permutation of [n] in word form, n = len(word).
 
+    Every symbol must be an int (or have __index__); a float is rejected
+    even when it equals an integer.
+
     >>> [is_permutation(w) for w in [(), (0,), (1, 0), (0, 2), (0, 0, 1)]]
     [True, True, True, False, False]
+    >>> is_permutation((0, 1.0, 2))
+    False
     """
+    try:
+        symbols = set(map(operator.index, word))
+    except TypeError:
+        return False
     n = len(word)
-    return len(set(word)) == n and all(0 <= x < n for x in word)
+    if len(symbols) != n:
+        return False
+    # n distinct ints from 0 to n - 1 are exactly [n]
+    return n == 0 or (min(symbols) == 0 and max(symbols) == n - 1)
 
 
 def validate_permutation(word: Sequence[int], name: str = "permutation") -> None:
@@ -70,15 +87,19 @@ def inverse(word: Sequence[int]) -> tuple[int, ...]:
 def _lis_length(pos: Sequence[int] | dict[int, int], word: Iterable[int]) -> int:
     # the LIS of word relabeled through the position table pos, by patience
     # sorting: the one LIS kernel behind lcs_length and the audits. It does
-    # no validation; a symbol missing from a dict pos raises KeyError
+    # no validation; a symbol missing from a dict pos raises KeyError.
+    # top is the last pile's value (positions are >= 0): a value above it,
+    # the common case in a near-sorted word, is appended with no search
     piles: list[int] = []
+    top = -1
     for sym in word:
         v = pos[sym]
-        j = bisect_left(piles, v)
-        if j == len(piles):
+        if v > top:
             piles.append(v)
+            top = v
         else:
-            piles[j] = v
+            piles[bisect_left(piles, v)] = v
+            top = piles[-1]
     return len(piles)
 
 
@@ -141,7 +162,9 @@ def ulam_distance(a: Sequence[int], b: Sequence[int]) -> int:
     >>> ulam_distance((0, 1, 2, 3), (3, 2, 1, 0))
     3
     """
-    if set(a) != set(b):
+    # lcs_length rejects repeated symbols, so equal lengths and b covering
+    # a mean equal symbol sets: one set here, one dict and one set there
+    if len(a) != len(b) or not set(b).issuperset(a):
         raise ValueError("ulam_distance needs equal symbol sets")
     return len(a) - lcs_length(a, b)
 

@@ -59,6 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import itemgetter
 from typing import Sequence
 
 from .block_codes import BlockCode, DecodeFailure
@@ -234,12 +235,16 @@ def _rank_patterns(
     Each stage group's rank pattern, in shuffler-slot order: the x-indices
     of the group's symbols prev_star[alpha x beta], listed in the order
     they appear in the received permutation, whose inverse is pos_of.
+    The received position of every symbol of prev_star comes from one C
+    gather per stage; each group then sorts its slice of those spots.
     """
-    patterns = []
-    for group in _stage_groups(q, ell, stage):
-        spots = [pos_of[sym] for sym in prev_star[group]]
-        patterns.append(tuple(sorted(range(q), key=spots.__getitem__)))
-    return patterns
+    # n = q^ell >= 2, so the itemgetter returns a tuple; it is copied to a
+    # list because list.__getitem__ is the cheaper sort key
+    spots = list(itemgetter(*prev_star)(pos_of))
+    return [
+        tuple(sorted(range(q), key=spots[group].__getitem__))
+        for group in _stage_groups(q, ell, stage)
+    ]
 
 
 def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:

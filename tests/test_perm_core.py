@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ulamcodes import perm_core
 from ulamcodes.perm_core import (
+    _lis_length,
     from_digits,
     identity,
     inverse,
@@ -18,6 +20,7 @@ from ulamcodes.perm_core import (
     restrict,
     to_digits,
     ulam_distance,
+    validate_permutation,
     write_permutations,
 )
 
@@ -85,6 +88,38 @@ class TestLcs:
                 assert lcs_length(a, b) == lcs_length_dp(a, b)
 
 
+@st.composite
+def near_sorted_pairs(draw, max_n=128, max_moves=8):
+    """A permutation of [n] and a copy of it after at most max_moves
+    single-symbol relocations: the near-sorted relabelings that take the
+    LIS kernel's append branch."""
+    n = draw(st.integers(1, max_n))
+    a = tuple(draw(st.permutations(list(range(n)))))
+    b = list(a)
+    for _ in range(draw(st.integers(0, max_moves))):
+        sym = b.pop(draw(st.integers(0, n - 1)))
+        b.insert(draw(st.integers(0, n - 1)), sym)
+    return a, tuple(b)
+
+
+class TestNearSorted:
+    @given(near_sorted_pairs())
+    @settings(max_examples=200)
+    def test_lcs_and_distance_match_dp(self, pair):
+        a, b = pair
+        lcs = lcs_length_dp(a, b)
+        assert lcs_length(a, b) == lcs
+        assert lcs_length(b, a) == lcs
+        assert ulam_distance(a, b) == len(a) - lcs
+
+    @given(near_sorted_pairs())
+    @settings(max_examples=200)
+    def test_tuple_position_table_matches_dp(self, pair):
+        # verify.audit_pairwise relabels through the tuple inverse(a)
+        a, b = pair
+        assert _lis_length(inverse(a), b) == lcs_length_dp(a, b)
+
+
 class TestUlamDistance:
     def test_identity_case(self):
         assert ulam_distance((0, 1, 2, 3), (0, 1, 2, 3)) == 0
@@ -101,6 +136,15 @@ class TestUlamDistance:
     def test_symbol_set_mismatch(self):
         with pytest.raises(ValueError):
             ulam_distance((0, 1, 2), (0, 1, 3))
+
+    def test_scores_through_module_lcs_length(self, monkeypatch):
+        # perfbench/test_smoke.py::test_over_reporting_distance_kernel_is_caught
+        # breaks the library's LCS by rebinding perm_core.lcs_length, so
+        # ulam_distance must keep calling that module-level name
+        real = perm_core.lcs_length
+        monkeypatch.setattr(perm_core, "lcs_length", lambda a, b: real(a, b) - 1)
+        assert ulam_distance((0, 1, 2, 3), (0, 1, 2, 3)) == 1
+        assert ulam_distance((0, 1, 2, 3), (3, 2, 1, 0)) == 4
 
     @given(permutations_strategy(8), permutations_strategy(8))
     def test_metric_axioms(self, a, b):
@@ -267,8 +311,16 @@ class TestDigits:
 class TestPermutationBasics:
     def test_is_permutation(self):
         assert is_permutation((1, 0, 2))
+        assert is_permutation(())
         assert not is_permutation((0, 2))
         assert not is_permutation((0, 0, 1))
+        assert not is_permutation((1, 2))
+        assert not is_permutation((-1, 0))
+        # a symbol that is not an int is rejected, even one equal to an int
+        for word in [(0, 0.5, 2), (0, 1.0, 2), (0, float("nan"), 2), (1.0,), (0, "1")]:
+            assert not is_permutation(word)
+            with pytest.raises(ValueError, match="not a permutation"):
+                validate_permutation(word)
 
     def test_inverse(self):
         word = (2, 0, 1)

@@ -619,6 +619,15 @@ class TestDecode:
                 )
         assert failures >= 28  # random permutations are far from every codeword
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan")])
+    def test_float_symbol_is_value_error(self, q8_instance, bad):
+        # a float symbol is named as not a permutation, never left to raise
+        # a TypeError from the position table
+        word = list(uc.encode(3, q8_instance))
+        word[word.index(1)] = bad
+        with pytest.raises(ValueError, match="not a permutation"):
+            uc.decode(word, q8_instance)
+
     def test_concat_instance_round_trip(self, concat_instance):
         rng = random.Random(53)
         for _ in range(30):
