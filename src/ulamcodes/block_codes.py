@@ -10,11 +10,11 @@ for explicit codeword lists it is the list position).
 ``DecodeFailure`` value, and it never returns a wrong message when some
 codeword lies within ``decoding_radius`` of the input.
 
-Available constructions: Reed-Solomon with Gao decoding (Berlekamp-Welch
-kept as oracle), explicit codeword lists such as the greedy
-Gilbert-Varshamov codes with nearest-codeword decoding through packed
-agreement counts, code concatenation (inner-then-outer decoding), plus
-repetition and identity codes for plumbing. Codes are immutable after
+Available constructions: Reed-Solomon with Gao decoding, explicit
+codeword lists such as the greedy Gilbert-Varshamov codes with
+nearest-codeword decoding through packed agreement counts, code
+concatenation (inner-then-outer decoding), plus repetition and identity
+codes for plumbing. Codes are immutable after
 construction and safe for concurrent use.
 """
 from __future__ import annotations
@@ -84,8 +84,7 @@ class ReedSolomonCode(BlockCode):
     points 0..n-1, message digit j = coefficient of x^j. Unique decoding
     up to floor((n-k)/2) errors in O(n*(n-k)) field operations via Gao
     decoding (interpolation plus a partial extended Euclidean algorithm;
-    S. Gao, "A new algorithm for decoding Reed-Solomon codes", 2003),
-    Berlekamp-Welch kept as oracle.
+    S. Gao, "A new algorithm for decoding Reed-Solomon codes", 2003).
     """
 
     def __init__(self, field: Field, n: int, k: int):
@@ -172,75 +171,6 @@ class ReedSolomonCode(BlockCode):
         if hamming_distance(codeword, word) > e:
             return DecodeFailure("nearest candidate beyond decoding radius")
         return from_digits(msg_poly, self.alphabet_size)
-
-
-def _berlekamp_welch_decode(code: ReedSolomonCode, word: Sequence[int]) -> int | DecodeFailure:
-    """
-    Berlekamp-Welch decoding of ``code``: the test oracle for
-    ``ReedSolomonCode.decode_word``. No production path calls it.
-    """
-    word = code.check_word(word)
-    f = code.field
-    k, e = code.k, code.decoding_radius
-    # find Q of degree < k+e and monic E of degree e with
-    # Q(a_i) = r_i * E(a_i) for all i; then the message polynomial is Q/E.
-    cols = (k + e) + e
-    rows = []
-    rhs = []
-    for a, r in zip(code.points, word):
-        row = [0] * cols
-        pw = 1
-        for u in range(k + e):
-            row[u] = pw
-            pw = f.mul(pw, a)
-        pw = 1
-        for j in range(e):
-            row[k + e + j] = f.neg(f.mul(r, pw))
-            pw = f.mul(pw, a)
-        rows.append(row)
-        rhs.append(f.mul(r, pw))  # r * a^e, the monic term moved across
-    sol = _solve_linear(f, rows, rhs)
-    if sol is None:
-        return DecodeFailure("berlekamp-welch system inconsistent")
-    q_coeffs = sol[: k + e]
-    e_coeffs = sol[k + e :] + [1]  # monic
-    msg_poly, rem = _poly_divmod(f, q_coeffs, e_coeffs)
-    if any(rem) or len(msg_poly) > k:
-        return DecodeFailure("residual error locator does not divide")
-    msg_poly = msg_poly + [0] * (k - len(msg_poly))
-    codeword = code.encode(msg_poly)
-    if hamming_distance(codeword, word) > e:
-        return DecodeFailure("nearest candidate beyond decoding radius")
-    return from_digits(msg_poly, code.alphabet_size)
-
-
-def _solve_linear(f: Field, rows: list[list[int]], rhs: list[int]) -> list[int] | None:
-    """Gaussian elimination over f; any solution with free variables at 0."""
-    m = len(rows)
-    cols = len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = f.inv(aug[r][c])
-        aug[r] = [f.mul(inv, v) for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                aug[i] = f.sub_scaled(aug[i], aug[i][c], aug[r])
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][cols] for i in range(r, m)):
-        return None
-    sol = [0] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
 
 
 def _poly_divmod(f: Field, num: Sequence[int], den: Sequence[int]):

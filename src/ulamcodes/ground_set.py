@@ -12,7 +12,11 @@ budget) keeping those whose LCS with every kept permutation stays within
 a bound.
 
 Certification is always exhaustive: the stored maximum pairwise LCS is
-recomputed over all pairs at construction time. The full pairwise LCS
+recomputed over all pairs at construction time. The members are
+validated first; then each permutation's position table (its inverse) is
+built once, and each pair costs one LIS pass of the other permutation
+through it, the same kernel the pairwise audit uses. verify_ground_set
+validates the same way before it recounts. The full pairwise LCS
 table is kept too. The decoder's group guess prunes its search with the
 triangle-inequality bounds derived from it, which the set tabulates
 lazily on the first decode that needs them (bound_rows), so building a
@@ -29,7 +33,14 @@ from typing import Iterable, Sequence
 
 from .block_codes import BlockCode
 from .errors import ParameterError
-from .perm_core import from_digits, lcs_length, read_int_rows, validate_permutation
+from .perm_core import (
+    _lis_length,
+    from_digits,
+    inverse,
+    lcs_length,
+    read_int_rows,
+    validate_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -91,18 +102,8 @@ class GroundSetReport:
     passed: bool
 
 
-def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
-    """The pairwise LCS table of perms, its off-diagonal max and the first pair reaching it."""
-    table = [[len(w)] * len(perms) for w in perms]
-    max_lcs, worst = 0, None
-    for i, j in itertools.combinations(range(len(perms)), 2):
-        l = table[i][j] = table[j][i] = lcs_length(perms[i], perms[j])
-        if l > max_lcs:
-            max_lcs, worst = l, (i, j)
-    return tuple(map(tuple, table)), max_lcs, worst
-
-
-def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
+def _check_perms(q: int, perms: Sequence[tuple[int, ...]]) -> None:
+    """Raise unless perms are distinct permutations of [q]."""
     seen = set()
     for word in perms:
         validate_permutation(word, "ground permutation")
@@ -111,6 +112,27 @@ def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
         if word in seen:
             raise ParameterError(f"duplicate ground permutation {word!r}")
         seen.add(word)
+
+
+def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
+    """
+    The pairwise LCS table of perms, its off-diagonal max and the first
+    pair reaching it. perms must have passed _check_perms: each pair is
+    one LIS of perms[j] through the position table of perms[i], with no
+    validation of its own.
+    """
+    table = [[len(w)] * len(perms) for w in perms]
+    max_lcs, worst = 0, None
+    for i, pos in enumerate(map(inverse, perms)):
+        for j in range(i + 1, len(perms)):
+            l = table[i][j] = table[j][i] = _lis_length(pos, perms[j])
+            if l > max_lcs:
+                max_lcs, worst = l, (i, j)
+    return tuple(map(tuple, table)), max_lcs, worst
+
+
+def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
+    _check_perms(q, perms)
     pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
     by_first = tuple(tuple(c for c, w in enumerate(perms) if w[0] == s) for s in range(q))
     return GroundSet(
@@ -208,7 +230,12 @@ def brute_force_ground_set(
 
 
 def verify_ground_set(ground: GroundSet, threshold: int) -> GroundSetReport:
-    """Exhaustively recompute the max pairwise LCS and compare with threshold."""
+    """
+    Exhaustively recompute the max pairwise LCS and compare with threshold.
+    The members are validated first, so a hand-built set with a malformed
+    member raises ValueError instead of reporting a figure.
+    """
+    _check_perms(ground.q, ground.perms)
     _, max_lcs, worst = _pairwise_lcs(ground.perms)
     return GroundSetReport(
         max_pairwise_lcs=max_lcs,

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ulamcodes.errors import ParameterError
-from ulamcodes.fields import Field, factor_prime_power, is_prime
+from ulamcodes.fields import Field, factor_prime_power
 
 PRIME_POWERS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
 
@@ -16,10 +16,6 @@ def test_factor_prime_power():
     for bad in (1, 6, 12, 100):
         with pytest.raises(ParameterError):
             factor_prime_power(bad)
-
-
-def test_is_prime():
-    assert [p for p in range(2, 20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
 @pytest.mark.parametrize("order", PRIME_POWERS_TO_64)
@@ -122,8 +118,68 @@ def test_vector_methods_match_scalar_composition(order):
 
 
 def test_vector_methods_without_tables():
-    # above the table limit both vector methods take the scalar path
+    # above the table limit both vector methods call mul per element, and
+    # mul reads the exp/log tables
     f = Field(1024)
     check_vector_methods(f, 20)
     assert f.add(0b1011, 0b0110) == 0b1101 == f.sub(0b1011, 0b0110)
     assert f.neg(77) == 77
+
+
+# ------------------------------------------- exp/log tables against _mul_raw
+
+def check_exp_log(f):
+    """exp walks every nonzero element once, and log is its inverse."""
+    n = f.order - 1
+    assert sorted(f._exp[:n]) == list(range(1, f.order))
+    assert all(f._log[f._exp[i]] == i for i in range(n))
+
+
+@pytest.mark.parametrize("order", PRIME_POWERS_TO_64)
+def test_tables_match_raw_product_exhaustively(order):
+    f = Field(order)
+    check_exp_log(f)
+    for a, b in itertools.product(range(order), repeat=2):
+        assert f.mul(a, b) == f._mul_raw(a, b)
+    for a in range(1, order):
+        assert f._mul_raw(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("order", [125, 128, 243, 256, 512])
+def test_tables_match_raw_product_on_samples(order):
+    f = Field(order)
+    check_exp_log(f)
+    rng = random.Random(order)
+    for _ in range(2000):
+        a, b = rng.randrange(order), rng.randrange(order)
+        assert f.mul(a, b) == f._mul_raw(a, b)
+    # every row and column through 0 and 1, and every inverse
+    for a in range(order):
+        assert f.mul(a, 0) == f.mul(0, a) == 0 and f.mul(a, 1) == f.mul(1, a) == a
+    for a in range(1, order):
+        assert f._mul_raw(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("order", [1024, 2187, 4096])
+def test_above_table_limit_matches_raw_product(order):
+    f = Field(order)
+    assert f._mul_table is None
+    check_exp_log(f)
+    rng = random.Random(order)
+    elements = [*range(8), order - 1] + [rng.randrange(order) for _ in range(60)]
+    for a, b in itertools.product(elements, repeat=2):
+        assert f.mul(a, b) == f._mul_raw(a, b)
+    for a in range(1, order, 7):
+        assert f._mul_raw(a, f.inv(a)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    for _ in range(40):
+        length = rng.randrange(0, 12)
+        u = [rng.choice(elements) for _ in range(length)]
+        v = [rng.choice(elements) for _ in range(length)]
+        c, x = rng.choice(elements), rng.choice(elements)
+        assert f.sub_scaled(u, c, v) == [f.sub(s, f._mul_raw(c, t)) for s, t in zip(u, v)]
+        acc = 0
+        for coeff in reversed(u):
+            acc = f.add(f._mul_raw(acc, x), coeff)
+        assert f.eval_poly(u, x) == acc

@@ -7,6 +7,7 @@ import pytest
 from ulamcodes.block_codes import greedy_gv_code, hamming_distance, identity_code
 from ulamcodes.errors import ParameterError
 from ulamcodes.ground_set import (
+    GroundSet,
     brute_force_ground_set,
     ground_set_from_perms,
     load_ground_set,
@@ -157,6 +158,53 @@ class TestCertification:
             ground_set_from_perms(3, [(0, 1)])
         with pytest.raises(ValueError):
             ground_set_from_perms(3, [(0, 1, 1)])
+
+
+def hand_built(q, perms):
+    """A GroundSet made without certification, figures left empty."""
+    return GroundSet(
+        q=q, perms=perms, certified_max_lcs=0, worst_pair=None,
+        pair_lcs=(), by_first_symbol=(), gathers=(),
+    )
+
+
+class TestCertificationOracle:
+    """The position-table certification against the quadratic DP, pair by pair."""
+
+    @staticmethod
+    def check_against_dp(ground):
+        for i, j in itertools.combinations(range(ground.p), 2):
+            expected = lcs_length_dp(ground.perms[i], ground.perms[j])
+            assert ground.pair_lcs[i][j] == ground.pair_lcs[j][i] == expected
+        assert verify_ground_set(ground, ground.q).max_pairwise_lcs == ground.certified_max_lcs
+
+    def test_xor_set(self):
+        self.check_against_dp(xor_ground_set(16, identity_code(2, 4)))
+
+    def test_seeded_brute_force_set(self):
+        ground = brute_force_ground_set(9, 12, 4, seed=3, sample_budget=5000)
+        assert ground.p == 12
+        self.check_against_dp(ground)
+
+    def test_file_loaded_set(self, tmp_path):
+        path = tmp_path / "ground.txt"
+        save_ground_set(str(path), brute_force_ground_set(7, 8, 3, seed=5, sample_budget=5000))
+        self.check_against_dp(load_ground_set(str(path)))
+
+    @pytest.mark.parametrize(
+        "perms",
+        [
+            ((0, 1, 2, 3), (0, 1, 1, 3)),  # repeated symbol
+            ((0, 1, 2, 3), (0, 1, 2, 7)),  # symbol out of range
+            ((0, 1, 2, 3), (2, 1, 0)),  # short member
+            ((0, 1, 2, 3), (3, 2, 1, 0), (0, 1, 2, 3)),  # repeated member
+        ],
+    )
+    def test_verify_rejects_hand_built_malformed_set(self, perms):
+        # a named ValueError, never an IndexError from the position table
+        # and never a report
+        with pytest.raises(ValueError, match="ground permutation"):
+            verify_ground_set(hand_built(4, perms), 4)
 
 
 class TestPairTable:
