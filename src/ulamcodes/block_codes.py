@@ -20,7 +20,6 @@ construction and safe for concurrent use.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from typing import Iterator, Sequence
 
 from .errors import ParameterError
 from .fields import Field
-from .perm_core import from_digits, read_int_rows, to_digits
+from .perm_core import from_digits, read_int_rows, to_digits, write_int_rows
 
 GV_SEARCH_LIMIT = 10_000_000
 
@@ -342,13 +341,6 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
     return ExplicitCode(alphabet_size, chosen, label=f"gv(d>={min_distance})")
 
 
-def gv_ball_volume(length: int, radius: int, alphabet_size: int) -> int:
-    """Hamming-ball volume V(length, radius) over the given alphabet."""
-    return sum(
-        math.comb(length, i) * (alphabet_size - 1) ** i for i in range(radius + 1)
-    )
-
-
 # -------------------------------------------------------------- concatenation
 
 class ConcatenatedCode(BlockCode):
@@ -473,10 +465,8 @@ def identity_code(alphabet_size: int, block_length: int) -> IdentityCode:
 # codeword per line as space-separated digits.
 
 def save_explicit_code(path: str, code: BlockCode) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{code.alphabet_size} {code.block_length} {code.size}\n")
-        for cw in code.codewords():
-            fh.write(" ".join(str(d) for d in cw) + "\n")
+    header = (code.alphabet_size, code.block_length, code.size)
+    write_int_rows(path, [header, *code.codewords()])
 
 
 def load_explicit_code(path: str) -> ExplicitCode:

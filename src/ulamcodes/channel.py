@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm_core import validate_permutation
+from .perm_core import read_int_rows, validate_permutation, write_int_rows
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,6 @@ class RelocationTrace:
     """Moves applied in order; replaying them reproduces the corruption."""
 
     moves: tuple[tuple[int, int], ...]
-    seed: int | None = None
 
     def replay(self, word: Sequence[int]) -> tuple[int, ...]:
         """Apply the moves to word; a move outside [0, len(word)) raises ValueError."""
@@ -48,14 +47,8 @@ def relocate(
     if not 0 <= t <= n:
         raise ValueError(f"relocation count must be in 0..{n}, got {t}")
     rng = random.Random(seed)
-    out = list(pi)
-    moves = []
-    for _ in range(t):
-        src = rng.randrange(n)
-        dst = rng.randrange(n)
-        out.insert(dst, out.pop(src))
-        moves.append((src, dst))
-    return tuple(out), RelocationTrace(moves=tuple(moves), seed=seed)
+    trace = RelocationTrace(tuple((rng.randrange(n), rng.randrange(n)) for _ in range(t)))
+    return trace.replay(pi), trace
 
 
 def random_permutation(n: int, seed: int) -> tuple[int, ...]:
@@ -71,23 +64,15 @@ def random_permutation(n: int, seed: int) -> tuple[int, ...]:
 # ------------------------------------------------------------ text interface
 # One move per line: "src dst".
 
+def _check_move(row: tuple[int, ...]) -> None:
+    if len(row) != 2 or min(row) < 0:
+        raise ValueError(f"expected two non-negative positions 'src dst', got {row}")
+
+
 def save_trace(path: str, trace: RelocationTrace) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for src, dst in trace.moves:
-            fh.write(f"{src} {dst}\n")
+    write_int_rows(path, trace.moves)
 
 
 def load_trace(path: str) -> RelocationTrace:
-    moves = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2 or not all(tok.isdigit() for tok in tokens):
-                raise ValueError(
-                    f"{path}:{lineno}: expected two non-negative positions "
-                    f"'src dst', got {line.strip()!r}"
-                )
-            moves.append((int(tokens[0]), int(tokens[1])))
-    return RelocationTrace(moves=tuple(moves))
+    """The trace in a file written by save_trace."""
+    return RelocationTrace(tuple(read_int_rows(path, _check_move)))

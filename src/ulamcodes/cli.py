@@ -44,7 +44,6 @@ class InstanceConfig:
     ell: int | None = None
     ground: str | None = None
     code: str | None = None
-    seed: int | None = None
 
     def resolve(self) -> ulam_code.UlamCodeParams:
         if self.q is None or self.ell is None:
@@ -67,16 +66,19 @@ class InstanceConfig:
 
 def load_config_file(path: str) -> InstanceConfig:
     cfg = InstanceConfig()
-    with open(path, encoding="ascii") as fh:
+    # surrogateescape keeps a non-ASCII byte inside its line, to be named there
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
+            if not raw.isascii():
+                raise ParameterError(f"{where}: non-ASCII byte")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            where = f"{path}:{lineno}"
             if "=" not in line:
                 raise ParameterError(f"{where}: config line is not key=value: {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("q", "ell", "seed"):
+            if key in ("q", "ell"):
                 try:
                     setattr(cfg, key, int(value))
                 except ValueError:
@@ -245,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="pairwise distance and injectivity audit")
     _instance_flags(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", default=True)
-    group.add_argument("--sample", type=int, help="number of sampled pairs")
+    p.add_argument("--sample", type=int, help="number of sampled pairs (default: exhaustive)")
     p.add_argument("--seed", type=int, help="required with --sample")
     p.add_argument("--json", action="store_true")
 
@@ -324,7 +324,7 @@ def _cmd_encode(args) -> int:
     line = perm_core.format_permutation(word)
     print(line)
     if args.out:
-        perm_core.write_permutations(args.out, [word])
+        perm_core.write_int_rows(args.out, [word])
     return 0
 
 

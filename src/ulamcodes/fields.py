@@ -105,6 +105,8 @@ class Field:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        if not 0 <= a < self.order or not 0 <= b < self.order:
+            raise ValueError(f"mul({a}, {b}): not elements of GF({self.order})")
         if self._mul_table is not None:
             return self._mul_table[a * self.order + b]
         return self._exp[self._log[a] + self._log[b]]
@@ -112,6 +114,8 @@ class Field:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.order})")
+        if not 0 < a < self.order:
+            raise ValueError(f"{a} is not an element of GF({self.order})")
         return self._exp[self.order - 1 - self._log[a]]
 
     def div(self, a: int, b: int) -> int:

@@ -40,6 +40,7 @@ from .perm_core import (
     lcs_length,
     read_int_rows,
     validate_permutation,
+    write_int_rows,
 )
 
 
@@ -249,10 +250,7 @@ def verify_ground_set(ground: GroundSet, threshold: int) -> GroundSetReport:
 # Header "q p certified_max_lcs", then one permutation per line.
 
 def save_ground_set(path: str, ground: GroundSet) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{ground.q} {ground.p} {ground.certified_max_lcs}\n")
-        for word in ground.perms:
-            fh.write(" ".join(str(x) for x in word) + "\n")
+    write_int_rows(path, [(ground.q, ground.p, ground.certified_max_lcs), *ground.perms])
 
 
 def load_ground_set(path: str) -> GroundSet:

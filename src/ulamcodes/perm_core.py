@@ -1,6 +1,6 @@
 """
-Permutation strings, restriction, base-q position indexing, and the Ulam
-distance.
+Permutation strings, restriction, base-q position indexing, the Ulam
+distance, and the integer-row file format.
 
 Permutations of [n] = {0, ..., n-1} are handled in word form: the tuple
 (pi[0], ..., pi[n-1]). Distance computations accept the wider class of
@@ -19,14 +19,20 @@ one comparison per symbol; the O(m log m) worst case is unchanged. The
 quadratic dynamic program is kept alongside permanently as an
 independent oracle.
 
-All functions are pure and operate on immutable values; they are safe to
-call concurrently.
+Every library file (permutations, ground sets, explicit codes, traces)
+is ASCII text, one row of space-separated integers per line, read and
+written only by read_int_rows and write_int_rows. Blank lines are
+skipped; a token must match -?[0-9]+, so "+1" and "1_0" are refused.
+
+Apart from those two, all functions are pure and operate on immutable
+values; they are safe to call concurrently.
 """
 from __future__ import annotations
 
 import operator
+import re
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def check_distinct(s: Sequence[int], name: str = "string") -> None:
@@ -219,55 +225,49 @@ def from_digits(digits: Sequence[int], q: int) -> int:
     return value
 
 
-# -- text format: one permutation per line, space-separated decimal symbols --
+# -- the integer-row file format (see the module docstring) ------------------
+
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+
 
 def format_permutation(word: Sequence[int]) -> str:
     return " ".join(str(x) for x in word)
 
 
-def parse_permutation(line: str) -> tuple[int, ...]:
-    """Parse one line of the permutation text format and validate it."""
-    try:
-        word = tuple(int(tok) for tok in line.split())
-    except ValueError as exc:
-        raise ValueError(f"not a permutation line: {line!r}") from exc
-    validate_permutation(word)
-    return word
-
-
-def read_int_rows(path: str) -> list[tuple[int, ...]]:
+def read_int_rows(
+    path: str, check: Callable[[tuple[int, ...]], None] | None = None
+) -> list[tuple[int, ...]]:
     """
-    The non-blank lines of a text file of space-separated decimal integers.
-    A token that is not an integer raises ValueError naming path:line.
+    The non-blank rows of an integer-row file, each passed to check if given.
+    A bad token, a non-ASCII byte, or a ValueError from check raises
+    ValueError naming path:line.
     """
     rows = []
-    with open(path, encoding="ascii") as fh:
+    # surrogateescape keeps a non-ASCII byte in its line, where the token rule refuses it
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            tokens = line.split()
+            if not tokens:
                 continue
             try:
-                rows.append(tuple(int(tok) for tok in line.split()))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected integers, got {line.strip()!r}"
-                ) from None
+                if not all(map(_INT_TOKEN.fullmatch, tokens)):
+                    raise ValueError("non-ASCII byte" if not line.isascii()
+                                     else f"expected integers, got {line.strip()!r}")
+                row = tuple(map(int, tokens))
+                if check is not None:
+                    check(row)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append(row)
     return rows
+
+
+def write_int_rows(path: str, rows: Iterable[Sequence[int]]) -> None:
+    """Write each row as one line of space-separated decimal integers."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.writelines(format_permutation(row) + "\n" for row in rows)
 
 
 def read_permutations(path: str) -> list[tuple[int, ...]]:
     """Read all permutations from a text file, one per line; blank lines skipped."""
-    perms = []
-    with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    perms.append(parse_permutation(line))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return perms
-
-
-def write_permutations(path: str, perms: Iterable[Sequence[int]]) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for word in perms:
-            fh.write(format_permutation(word) + "\n")
+    return read_int_rows(path, validate_permutation)

@@ -12,7 +12,6 @@ from ulamcodes.block_codes import (
     ExplicitCode,
     concat_code,
     greedy_gv_code,
-    gv_ball_volume,
     hamming_distance,
     identity_code,
     load_explicit_code,
@@ -23,6 +22,11 @@ from ulamcodes.block_codes import (
 from ulamcodes.block_codes import _poly_divmod
 from ulamcodes.errors import ParameterError
 from ulamcodes.perm_core import from_digits
+
+
+def gv_ball_volume(length, radius, alphabet_size):
+    """Hamming-ball volume V(length, radius) over the given alphabet."""
+    return sum(math.comb(length, i) * (alphabet_size - 1) ** i for i in range(radius + 1))
 
 
 def exact_min_distance(code):
@@ -369,11 +373,26 @@ class TestExplicitCode:
         assert loaded.min_distance == code.min_distance
         assert loaded.alphabet_size == code.alphabet_size
 
+    def test_file_save_pins_bytes(self, tmp_path):
+        path = tmp_path / "code.txt"
+        save_explicit_code(str(path), greedy_gv_code(2, 4, 2))
+        assert path.read_bytes() == (
+            b"2 4 8\n0 0 0 0\n0 0 1 1\n0 1 0 1\n0 1 1 0\n"
+            b"1 0 0 1\n1 0 1 0\n1 1 0 0\n1 1 1 1\n"
+        )
+
     def test_file_bad_token_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("2 3 2\n0 0 x\n1 1 1\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")):
-            load_explicit_code(str(path))
+        for text, line in [
+            ("2 3 2\n0 0 x\n1 1 1\n", 2),
+            # int() reads these as 10 and 1, which would make a valid code
+            ("1_0 3 2\n0 0 0\n9 9 9\n", 1),
+            ("2 3 2\n0 0 0\n+1 1 1\n", 3),
+            ("2 3 2\n0 0 0\n1 1 1\u00a0\n", 3),
+        ]:
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
+                load_explicit_code(str(path))
 
     def test_file_header_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"

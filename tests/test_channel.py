@@ -83,13 +83,12 @@ class TestTraceFormat:
         _, trace = relocate(tuple(range(9)), 4, seed=5)
         path = tmp_path / "trace.txt"
         save_trace(str(path), trace)
-        loaded = load_trace(str(path))
-        assert loaded.moves == trace.moves
-        assert loaded.replay(tuple(range(9))) == trace.replay(tuple(range(9)))
+        assert path.read_bytes() == b"4 5\n8 0\n7 3\n0 2\n"
+        assert load_trace(str(path)) == trace
 
-    @pytest.mark.parametrize("bad", ["2 x", "3", "1 2 3", "-1 2", "0 +1"])
+    @pytest.mark.parametrize("bad", ["2 x", "3", "1 2 3", "-1 2", "0 +1", "1_0 2", "0 \u00b2"])
     def test_bad_token_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "trace.txt"
-        path.write_text(f"0 1\n\n{bad}\n", encoding="ascii")
+        path.write_text(f"0 1\n\n{bad}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3:")):
             load_trace(str(path))

@@ -248,16 +248,27 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    # the audit is exhaustive unless --sample is given; there is no --exhaustive
+    for argv in (["no-such-command"], ["audit", "--exhaustive", *Q4_FLAGS]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("qq=4\n")
+    # seed is not an instance key: nothing would read it
+    for text, key in [("qq=4\n", "qq"), ("q=4\nseed=123\n", "seed")]:
+        cfg.write_text(text)
+        assert main(["build", "--config", str(cfg)]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_non_ascii_names_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"q=4\n\xef\xbb\xbfell=2\n")
     assert main(["build", "--config", str(cfg)]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {cfg}:2: non-ASCII byte\n"
 
 
 @pytest.mark.parametrize(
@@ -266,11 +277,14 @@ def test_unknown_config_key(tmp_path, capsys):
         ("code", "4 4 2\n0 0 0 0\n1 1 x 1\n", 3),
         ("ground", "4 4 x\n0 1 2 3\n", 1),
         ("perm", "0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 x\n", 1),
+        ("code", "4 4 2\n0 0 0 0\n1 1 1_0 1\n", 3),
+        ("ground", "4 4 2\n0 1 2 3\n+1 0 3 2\n2 3 0 1\n3 2 1 0\n", 3),
+        ("perm", "0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15\u00a0\n", 1),
     ],
 )
 def test_bad_file_token_exits_1_with_path_and_line(tmp_path, capsys, kind, text, line):
     bad = tmp_path / f"{kind}.txt"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     perm = tmp_path / "word.txt"
     perm.write_text(" ".join(str(i) for i in range(16)) + "\n")
     flags = {"--q": "4", "--ell": "2", "--ground-set": "xor:all", "--code": "gv:4,4,2"}
@@ -284,6 +298,7 @@ def test_bad_file_token_exits_1_with_path_and_line(tmp_path, capsys, kind, text,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -51,6 +51,17 @@ def test_commutativity_and_associativity(order):
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
 
 
+@pytest.mark.parametrize("order", [32, 1024])
+def test_mul_and_inv_reject_non_elements(order):
+    # with and without the multiplication table, a negative index must not
+    # wrap around to a table entry
+    f = Field(order)
+    for bad in (-1, order):
+        for call in (lambda: f.mul(bad, 3), lambda: f.mul(3, bad), lambda: f.inv(bad)):
+            with pytest.raises(ValueError, match="GF"):
+                call()
+
+
 def test_pow_matches_repeated_multiplication():
     f = Field(16)
     for a in range(16):

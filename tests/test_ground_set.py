@@ -258,8 +258,10 @@ class TestFileFormat:
         ground = xor_ground_set(8, greedy_gv_code(2, 3, 2))
         path = tmp_path / "ground.txt"
         save_ground_set(str(path), ground)
-        loaded = load_ground_set(str(path))
-        assert loaded == ground
+        assert path.read_bytes() == (
+            b"8 4 2\n0 1 2 3 4 5 6 7\n3 2 1 0 7 6 5 4\n5 4 7 6 1 0 3 2\n6 7 4 5 2 3 0 1\n"
+        )
+        assert load_ground_set(str(path)) == ground
 
     def test_reload_recertifies(self, tmp_path):
         path = tmp_path / "ground.txt"
@@ -269,10 +271,17 @@ class TestFileFormat:
 
     @pytest.mark.parametrize(
         "text, line",
-        [("4 2 1\n0 1 2 3\n3 2 x 0\n", 3), ("4 2 z\n0 1 2 3\n3 2 1 0\n", 1)],
+        [
+            ("4 2 1\n0 1 2 3\n3 2 x 0\n", 3),
+            ("4 2 z\n0 1 2 3\n3 2 1 0\n", 1),
+            # int() reads these as 10 and 1, which would make a valid set
+            ("1_0 2 1\n0 1 2 3 4 5 6 7 8 9\n9 8 7 6 5 4 3 2 1 0\n", 1),
+            ("4 2 1\n0 1 2 3\n3 2 +1 0\n", 3),
+            ("4 2 1\n0 1 2 3\n3 2 1 0\u00a0\n", 3),
+        ],
     )
     def test_bad_token_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "ground.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
             load_ground_set(str(path))

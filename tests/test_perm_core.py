@@ -15,13 +15,13 @@ from ulamcodes.perm_core import (
     is_permutation,
     lcs_length,
     lcs_length_dp,
-    parse_permutation,
+    read_int_rows,
     read_permutations,
     restrict,
     to_digits,
     ulam_distance,
     validate_permutation,
-    write_permutations,
+    write_int_rows,
 )
 
 
@@ -336,20 +336,52 @@ class TestTextFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "perms.txt"
         perms = [(0, 1, 2), (2, 0, 1)]
-        write_permutations(str(path), perms)
+        write_int_rows(str(path), perms)
+        assert path.read_bytes() == b"0 1 2\n2 0 1\n"
         assert read_permutations(str(path)) == perms
 
-    def test_parse_rejects_invalid(self):
-        with pytest.raises(ValueError):
-            parse_permutation("0 0 1")
-        with pytest.raises(ValueError):
-            parse_permutation("0 1 x")
-
     @pytest.mark.parametrize(
-        "text, line", [("0 1 2\n\n2 x 0\n", 3), ("0 1 2\n0 0 1\n", 2)]
+        "text, line",
+        [
+            ("0 1 2\n\n2 x 0\n", 3),
+            ("0 1 2\n0 0 1\n", 2),
+            # int() reads these as 10 and 1, which would make line 1 a permutation
+            ("0 1_0 2 3 4 5 6 7 8 9 +1\n", 1),
+            ("1 0\n\n+1 0\n", 3),
+            ("1 0\n0 1 2 3\u00a0\n", 2),
+        ],
     )
     def test_read_names_file_and_line(self, tmp_path, text, line):
         path = tmp_path / "perms.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: ")):
             read_permutations(str(path))
+
+
+def is_int_token(tok):
+    """The token rule -?[0-9]+, written apart from the reader's regex."""
+    body = tok[1:] if tok.startswith("-") else tok
+    return body != "" and all(ch in "0123456789" for ch in body)
+
+
+ROW_LINES = st.lists(
+    st.lists(st.text("0123456789-+_xZ", min_size=1, max_size=3), max_size=4).map(" ".join),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=ROW_LINES)
+def test_read_int_rows_keeps_exactly_the_token_rule(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("rows") / "rows.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        tokens = line.split()
+        if not all(map(is_int_token, tokens)):
+            with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: ")):
+                read_int_rows(str(path))
+            return
+        if tokens:
+            rows.append(tuple(int(tok) for tok in tokens))
+    assert read_int_rows(str(path)) == rows
