@@ -17,11 +17,11 @@ validated first; then each permutation's position table (its inverse) is
 built once, and each pair costs one LIS pass of the other permutation
 through it, the same kernel the pairwise audit uses. verify_ground_set
 validates the same way before it recounts. The full pairwise LCS
-table is kept too. The decoder's group guess prunes its search with the
-triangle-inequality bounds derived from it, which the set tabulates
-lazily on the first decode that needs them (bound_rows), so building a
-set does not pay for them. Each permutation also gets an
-operator.itemgetter, so a shuffle stage reorders a group with one C call.
+table is kept too, with a (q+1) x (q+1) table of gaps |q - d - l|; the
+decoder's group guess reads its triangle-inequality bounds through the
+two. Each permutation also gets an operator.itemgetter, so a shuffle
+stage reorders a group with one C call. Every table is built at
+certification and none is written afterwards.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ from .perm_core import (
     _lis_length,
     from_digits,
     inverse,
-    lcs_length,
     read_int_rows,
     validate_permutation,
     write_int_rows,
@@ -56,12 +55,13 @@ class GroundSet:
     (g[perms[c][0]], ..., g[perms[c][q-1]]). It is empty for q < 2,
     where an itemgetter would not return a tuple.
 
-    bound_rows[c][d][x] = |q - d - pair_lcs[c][x]|: once some rank
-    pattern r is known to lie at Ulam distance d from perms[c], the
-    triangle inequality puts it at least that far from perms[x]. The
-    table has p * (q + 1) rows of p entries and is built on first access,
-    not at certification. The search reads whole rows, which is faster
-    than computing the abs per entry.
+    gaps[d][l] = |q - d - l| for d, l in 0..q. Once some rank pattern r
+    is known to lie at Ulam distance d from perms[c], the triangle
+    inequality puts it at least gaps[d][pair_lcs[c][x]] from perms[x],
+    whose distance from perms[c] is q - pair_lcs[c][x]. Rows are indexed
+    by the distance itself, so a distance above q raises IndexError
+    instead of wrapping round to a row from the end. Looking the gap up
+    is faster than computing the abs per entry.
     """
 
     q: int
@@ -71,25 +71,11 @@ class GroundSet:
     pair_lcs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     by_first_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     gathers: tuple[itemgetter, ...] = field(compare=False, repr=False)
-    # bound_rows, filled on first use. Not a cached_property: on CPython
-    # 3.11 its write to __dict__ makes every attribute read of the set
-    # about three times slower, which costs the stage kernel on small q.
-    _bound_rows: list = field(default_factory=list, init=False, compare=False, repr=False)
+    gaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def p(self) -> int:
         return len(self.perms)
-
-    @property
-    def bound_rows(self) -> list[tuple[tuple[int, ...], ...]]:
-        if not self._bound_rows:
-            rows = []
-            for lcs_row in self.pair_lcs:
-                far = [self.q - l for l in lcs_row]  # Ulam distances from perms[c]
-                rows.append(tuple(tuple(abs(f - d) for f in far) for d in range(self.q + 1)))
-            # published in one step, so no reader ever sees a partial table
-            self._bound_rows[:] = rows
-        return self._bound_rows
 
     def __repr__(self) -> str:
         return f"GroundSet(q={self.q}, p={self.p}, max_lcs={self.certified_max_lcs})"
@@ -144,6 +130,7 @@ def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
         pair_lcs=pair_lcs,
         by_first_symbol=by_first,
         gathers=tuple(itemgetter(*w) for w in perms) if q >= 2 else (),
+        gaps=tuple((*range(q - d, 0, -1), *range(d + 1)) for d in range(q + 1)),
     )
 
 
@@ -199,9 +186,12 @@ def brute_force_ground_set(
     chosen_set: set[tuple[int, ...]] = set()
 
     def admit(word: tuple[int, ...]) -> bool:
+        # candidates are permutations made here, so the LIS kernel needs
+        # no validation: one position table per candidate, one pass per pair
         if word in chosen_set:
             return False
-        return all(lcs_length(word, c) <= max_lcs for c in chosen)
+        pos = inverse(word)
+        return all(_lis_length(pos, c) <= max_lcs for c in chosen)
 
     if seed is None:
         candidates: Iterable[tuple[int, ...]] = itertools.permutations(range(q))

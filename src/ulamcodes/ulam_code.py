@@ -50,7 +50,8 @@ the candidates scored so far, the candidate with the smallest (bound,
 index) is scored next, and the search stops once that pair is no smaller
 than (best distance, best index). No unscored candidate can then win, so
 the result is the full scan's argmin, ties going to the smallest index.
-The bound rows come from the ground set's table (GroundSet.bound_rows).
+The bound on x from c is |q - d - LCS(sigma_c, sigma_x)|, read from
+the ground set's tables as ground.gaps[d][ground.pair_lcs[c][x]].
 
 Everything here is pure; params objects are immutable after validation.
 """
@@ -267,10 +268,11 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
         # every other candidate is farther than best_d: the stop rule below
         # would return best on its first test, after a min over p bounds
         return best
-    rows = ground.bound_rows
+    pair_lcs, gaps = ground.pair_lcs, ground.gaps
     # lower[x] <= d(rank, sigma_x), with equality for every scored x, so no
     # scored candidate other than best is picked again
-    lower = rows[best][best_d]
+    gap = gaps[best_d]
+    lower = [gap[l] for l in pair_lcs[best]]
     while True:
         bound = min(lower)
         x = lower.index(bound)
@@ -280,7 +282,8 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
         if d < best_d or (d == best_d and x < best):
             best, best_d = x, d
         # elementwise max; a comprehension is faster here than map(max, ...)
-        lower = [a if a > b else b for a, b in zip(lower, rows[x][d])]
+        gap = gaps[d]
+        lower = [a if a > gap[l] else gap[l] for a, l in zip(lower, pair_lcs[x])]
 
 
 @dataclass(frozen=True)

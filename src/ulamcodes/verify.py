@@ -62,10 +62,13 @@ def audit_pairwise(
     otherwise that many seeded uniform pairs are drawn and each pair
     encodes both of its messages, so message spaces beyond the budget
     stay auditable, memory does not grow with sample_pairs, and
-    injectivity is certified on the sampled pairs only.
+    injectivity is certified on the sampled pairs only. A seed is
+    required with sample_pairs and refused without it.
     """
     if sample_pairs is not None and sample_pairs < 1:
         raise ParameterError(f"sample_pairs must be >= 1, got {sample_pairs}")
+    if sample_pairs is None and seed is not None:
+        raise ParameterError("a seed needs sample_pairs: the exhaustive audit draws nothing")
     start = time.monotonic()
     m, n = params.message_count, params.n
     total_pairs = m * (m - 1) // 2
@@ -83,9 +86,7 @@ def audit_pairwise(
         injective = len(set(words)) == m
         # the Ulam distance of two codewords is n minus the LIS of one
         # relabeled through the other's position table
-        position_tables = [inverse(w) for w in words]
-        for i in range(m):
-            pos_i = position_tables[i]
+        for i, pos_i in enumerate(map(inverse, words)):
             for j in range(i + 1, m):
                 d = n - _lis_length(pos_i, words[j])
                 if min_d is None or d < min_d:

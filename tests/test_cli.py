@@ -229,6 +229,14 @@ def test_audit_sample_requires_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_audit_seed_requires_sample(capsys):
+    assert main(["audit", "--seed", "5", *Q4_FLAGS]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "seed" in captured.err and "Traceback" not in captured.err
+
+
 def test_sweep_json(capsys):
     flags = ["--q", "2", "--ell", "3", "--ground-set", "bruteforce:1", "--code", "gv:2,4,2"]
     assert main(["sweep", "--t-list", "0", "--trials", "5", "--seed", "3", "--json", *flags]) == 0

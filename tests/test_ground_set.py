@@ -1,5 +1,5 @@
-import dataclasses
 import itertools
+import random
 import re
 
 import pytest
@@ -116,6 +116,33 @@ class TestBruteForce:
         with pytest.raises(ParameterError, match="target_p must be >= 1"):
             brute_force_ground_set(9, target_p, 9, seed=1)
 
+    @pytest.mark.parametrize(
+        "q, target_p, max_lcs, seed, budget",
+        [
+            (5, None, 2, None, None),
+            (6, None, 3, None, None),
+            (9, 12, 4, 3, 5000),
+            (12, None, 5, 1, 400),
+        ],
+    )
+    def test_admission_matches_dp_greedy(self, q, target_p, max_lcs, seed, budget):
+        # the same candidate stream, admitted through the quadratic DP
+        if seed is None:
+            candidates = itertools.permutations(range(q))
+        else:
+            rng, base = random.Random(seed), list(range(q))
+            candidates = (tuple(rng.shuffle(base) or base) for _ in range(budget))
+        chosen = []
+        for word in candidates:
+            if word not in chosen and all(lcs_length_dp(word, c) <= max_lcs for c in chosen):
+                chosen.append(word)
+                if len(chosen) == target_p:
+                    break
+        kwargs = {} if seed is None else {"seed": seed, "sample_budget": budget}
+        ground = brute_force_ground_set(q, target_p, max_lcs, **kwargs)
+        assert ground.perms == tuple(chosen)
+        assert ground.p > 2
+
     def test_random_mode_deterministic(self):
         a = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)
         b = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)
@@ -164,7 +191,7 @@ def hand_built(q, perms):
     """A GroundSet made without certification, figures left empty."""
     return GroundSet(
         q=q, perms=perms, certified_max_lcs=0, worst_pair=None,
-        pair_lcs=(), by_first_symbol=(), gathers=(),
+        pair_lcs=(), by_first_symbol=(), gathers=(), gaps=(),
     )
 
 
@@ -230,27 +257,8 @@ class TestPairTable:
         for s, cs in enumerate(ground.by_first_symbol):
             assert list(cs) == sorted(cs) and all(ground.perms[c][0] == s for c in cs)
         assert sorted(c for cs in ground.by_first_symbol for c in cs) == list(range(ground.p))
-
-    def test_bound_rows_never_seen_partial(self):
-        # a reader that arrives while the table is being built (here: from
-        # inside the build, once its first row is done) must see either no
-        # table or the whole of it
-        base = xor_ground_set(8, identity_code(2, 3))
-        seen = []
-
-        class ReadingRows(tuple):
-            def __iter__(self):
-                rows = tuple.__iter__(self)
-                yield next(rows)
-                if not seen:
-                    seen.append(None)  # so the nested build does not read again
-                    seen[0] = len(ground.bound_rows)
-                yield from rows
-
-        ground = dataclasses.replace(base, pair_lcs=ReadingRows(base.pair_lcs))
-        assert len(ground.bound_rows) == ground.p
-        assert seen == [ground.p]
-        assert ground.bound_rows == base.bound_rows
+        q = ground.q
+        assert ground.gaps == tuple(tuple(abs(q - d - l) for l in range(q + 1)) for d in range(q + 1))
 
 
 class TestFileFormat:

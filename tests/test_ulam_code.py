@@ -515,14 +515,16 @@ class TestPrunedGuess:
 
     @given(rank_patterns(XOR_GROUNDS + SHARED_FIRST_GROUNDS))
     @settings(max_examples=200)
-    def test_bound_rows_never_exceed_true_distance(self, case):
-        # the rows any search may read for this rank: (c, d(rank, sigma_c))
+    def test_gap_bounds_never_exceed_true_distance(self, case):
+        # the bounds any search may read for this rank, from every c at
+        # its true distance d: gaps[d][pair_lcs[c][x]] for each x
         ground, rank = case
         distances = [ulam_distance(rank, sigma) for sigma in ground.perms]
         for c, d in enumerate(distances):
-            row = ground.bound_rows[c][d]
-            assert row[c] == d
-            assert all(bound <= true for bound, true in zip(row, distances))
+            gap = ground.gaps[d]
+            bounds = [gap[l] for l in ground.pair_lcs[c]]
+            assert bounds[c] == d
+            assert all(bound <= true for bound, true in zip(bounds, distances))
 
     @pytest.mark.parametrize("seed", range(9))
     def test_ties_exhaustively(self, seed):
@@ -618,6 +620,17 @@ class TestDecode:
                     < q8_instance.distance_bound
                 )
         assert failures >= 28  # random permutations are far from every codeword
+
+    def test_decode_leaves_ground_set_unchanged(self):
+        # a fresh set, so no earlier decode has touched it; random inputs
+        # take the group guess past its early return into the bound search
+        ground = uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2))
+        params = uc.UlamCodeParams(q=8, ell=2, ground=ground, code=uc.greedy_gv_code(4, 8, 5))
+        before = repr(sorted(vars(ground).items()))
+        rng = random.Random(61)
+        for _ in range(20):
+            uc.decode(tuple(rng.sample(range(64), 64)), params)
+        assert repr(sorted(vars(ground).items())) == before
 
     @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan")])
     def test_float_symbol_is_value_error(self, q8_instance, bad):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import ulamcodes as uc
 from ulamcodes import verify
 from ulamcodes.block_codes import BlockCode, ExplicitCode
 from ulamcodes.errors import ParameterError
+from ulamcodes.perm_core import lcs_length_dp
 from ulamcodes.verify import audit_pairwise, decoder_sweep, rate_report, report_json
 
 
@@ -60,6 +62,37 @@ class TestAuditPairwise:
     def test_sample_requires_seed(self, swap_instance):
         with pytest.raises(ParameterError):
             audit_pairwise(swap_instance, sample_pairs=10)
+
+    def test_seed_requires_sample(self, swap_instance):
+        # the exhaustive audit draws nothing, so a seed there is a mistake
+        with pytest.raises(ParameterError, match="seed needs sample_pairs"):
+            audit_pairwise(swap_instance, seed=5)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # q = 3, p = 2, identity shuffler code: 64 messages over [9]
+            uc.UlamCodeParams(
+                q=3, ell=2, ground=uc.brute_force_ground_set(3, None, 1),
+                code=uc.identity_code(2, 3),
+            ),
+            # q = 4, p = 4, eight GV codewords: 64 messages over [16]
+            uc.UlamCodeParams(
+                q=4, ell=2, ground=uc.xor_ground_set(4, uc.identity_code(2, 2)),
+                code=ExplicitCode(4, list(uc.greedy_gv_code(4, 4, 2).codewords())[:8]),
+            ),
+        ],
+        ids=["q3", "q4"],
+    )
+    def test_exhaustive_matches_dp_scan(self, params):
+        words = [uc.encode(x, params) for x in range(params.message_count)]
+        min_d, worst = None, None
+        for i, j in itertools.combinations(range(len(words)), 2):
+            d = params.n - lcs_length_dp(words[i], words[j])
+            if min_d is None or d < min_d:
+                min_d, worst = d, (i, j)
+        report = audit_pairwise(params)
+        assert (report.min_distance, report.worst_pair) == (min_d, worst)
 
     def test_negative_sample_rejected(self, swap_instance):
         with pytest.raises(ParameterError, match="sample_pairs must be >= 1, got -5"):
