@@ -14,12 +14,20 @@ Available constructions: Reed-Solomon with Gao decoding, explicit
 codeword lists such as the greedy Gilbert-Varshamov codes with
 nearest-codeword decoding through packed agreement counts, code
 concatenation (inner-then-outer decoding), plus repetition and identity
-codes for plumbing. Codes are immutable after
-construction and safe for concurrent use.
+codes for plumbing.
+
+A Reed-Solomon code keeps its k Vandermonde rows (a^j over the evaluation
+points) as field vectors, so encoding is one ``Field.combine`` call, and
+Gao decoding interpolates through the Lagrange rows with one more. Those
+rows are built on the first decode and published in one assignment, the
+only write to a code after construction; concurrent first decodes at
+worst build them twice. Every other code is immutable after construction,
+and all are safe for concurrent use.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -58,14 +66,28 @@ class BlockCode:
         return (self.encode_index(x) for x in range(self.size))
 
     def check_word(self, word: Sequence[int]) -> tuple[int, ...]:
+        """word as a tuple of ints, or ValueError for a wrong length or symbol."""
         word = tuple(word)
         if len(word) != self.block_length:
             raise ValueError(
                 f"word length must be {self.block_length}, got {len(word)}"
             )
+        q = self.alphabet_size
         for d in word:
-            if not 0 <= d < self.alphabet_size:
-                raise ValueError(f"symbol {d} out of range [0, {self.alphabet_size})")
+            if type(d) is not int or not 0 <= d < q:
+                break
+        else:
+            return word
+        # read other symbols through __index__, as is_permutation does, so
+        # that an integral float such as 1.0 is refused rather than matched
+        try:
+            word = tuple(map(operator.index, word))
+        except TypeError:
+            bad = next(d for d in word if not hasattr(type(d), "__index__"))
+            raise ValueError(f"symbol {bad!r} is not an integer") from None
+        for d in word:
+            if not 0 <= d < q:
+                raise ValueError(f"symbol {d} out of range [0, {q})")
         return word
 
 
@@ -101,6 +123,8 @@ class ReedSolomonCode(BlockCode):
         self.decoding_radius = (n - k) // 2
         self.size = field.order**k
         self.points = tuple(range(n))
+        # row j holds a^j at every point a, so a codeword is one combine()
+        self._rows = field.power_rows(self.points, k)
         # _interpolation_tables(), filled on the first decode. Not a
         # cached_property: on CPython 3.11 its write to __dict__ makes every
         # later attribute read of the code about three times slower.
@@ -119,15 +143,14 @@ class ReedSolomonCode(BlockCode):
         if len(message) != self.k:
             raise ValueError(f"message length must be {self.k}, got {len(message)}")
         f = self.field
-        for c in message:
-            f.check(c)
-        return tuple(f.eval_poly(message, a) for a in self.points)
+        return f.combine(list(map(f.check, message)), self._rows)
 
-    def _interpolation_tables(self) -> tuple[list[int], tuple[list[int], ...]]:
+    def _interpolation_tables(self) -> tuple[list[int], tuple]:
         """
-        g0 = prod (x - a_i), and for each point a_i the row -L_i of the
-        Lagrange basis (L_i(a_j) = [i == j]), coefficients ascending.
-        Built on the first decode, so encode-only users never pay for it.
+        g0 = prod (x - a_i), and for each point a_i the row L_i of the
+        Lagrange basis (L_i(a_j) = [i == j]), coefficients ascending, as a
+        field vector. Built on the first decode, so encode-only users never
+        pay for it.
         """
         f = self.field
         g0 = [1]
@@ -137,26 +160,22 @@ class ReedSolomonCode(BlockCode):
         rows = []
         for a in self.points:
             others, _ = _poly_divmod(f, g0, [f.neg(a), 1])
-            scale = f.neg(f.inv(f.eval_poly(others, a)))
-            rows.append([f.mul(scale, c) for c in others])
+            scale = f.inv(f.eval_poly(others, a))
+            rows.append(f.vector([f.mul(scale, c) for c in others]))
         return g0, tuple(rows)
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         word = self.check_word(word)
         f = self.field
         n, k, e = self.block_length, self.k, self.decoding_radius
-        # Gao: interpolate g1 through the received word, run the extended
-        # Euclidean algorithm on (g0, g1) until the remainder g has
-        # 2*deg(g) < n + k, keeping g1's cofactor v; the message polynomial
-        # is g / v.
+        # Gao: interpolate g1 = sum r_i * L_i through the received word,
+        # run the extended Euclidean algorithm on (g0, g1) until the
+        # remainder g has 2*deg(g) < n + k, keeping g1's cofactor v; the
+        # message polynomial is g / v.
         if not self._interpolation:
             self._interpolation = self._interpolation_tables()
         g0, rows = self._interpolation
-        g1 = [0] * n
-        for r, row in zip(word, rows):
-            if r:
-                g1 = f.sub_scaled(g1, r, row)
-        prev, g = g0, _trim(g1)
+        prev, g = g0, _trim(list(f.combine(word, rows)))
         v_prev, v = [], [1]
         while 2 * len(g) >= n + k + 2:  # 2 * deg(g) >= n + k
             quot, rem = _poly_divmod(f, prev, g)

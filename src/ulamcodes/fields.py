@@ -13,21 +13,30 @@ Multiplication and inversion read exp/log tables of the smallest
 primitive element g: exp[i] = g^i and log[a] is the exponent of a.
 Walking the powers of the candidates 1, 2, ... until one reaches all
 order - 1 nonzero elements costs a small multiple of order raw products
-(1.3 * order at GF(2^16), 2 * order at GF(3^7)). For orders up
-to 512 the full multiplication table is then filled from exp/log by
-lookups, and the two vector methods, ``sub_scaled`` for an elimination
-row and ``eval_poly`` for Horner evaluation, read one of its rows per
-call instead of making a method call per element. Above 512 there is no
-multiplication table: ``mul`` reads exp/log, and the vector methods call
-it per element.
+(1.3 * order at GF(2^16), 2 * order at GF(3^7)).
+
+For orders up to 256 every element fits a byte, and the multiplication
+table is kept as one ``bytes`` row per element, padded to 256 bytes:
+row g is filled from exp/log, and the row of g^(i+1) is the row of g^i
+translated through it, so the table costs O(order) ``bytes.translate``
+calls. ``mul`` and the vector methods, ``sub_scaled`` for an elimination
+row and ``eval_poly`` for Horner evaluation, read these rows. The linear
+combination ``combine`` (sum of c_i * row_i) takes rows made by ``vector``
+or ``power_rows`` (``bytes`` when the table exists); in characteristic 2 it
+is one ``bytes.translate`` per row, read as an integer and XORed. Above 256
+there is no multiplication table: ``mul`` reads exp/log, and the vector
+methods call it per element, as ``combine`` does in odd characteristic.
 """
 from __future__ import annotations
 
+import operator
+from functools import reduce
+from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import ParameterError
 
-_TABLE_LIMIT = 512
+_TABLE_LIMIT = 256
 
 
 def factor_prime_power(order: int) -> tuple[int, int]:
@@ -59,15 +68,29 @@ class Field:
         self.degree = m
         self.modulus = _find_irreducible(p, m) if m > 1 else None
         self._exp, self._log = self._exp_log()
-        self._mul_table = None
+        self._mul_rows: list[bytes] | None = None
         if order <= _TABLE_LIMIT:
             exp, log = self._exp, self._log
-            self._mul_table = [exp[la + lb] for la in log for lb in log]
+            pad = bytes(256 - order)
+            # the row of a is b -> a*b; the row of g^(i+1) is g's row
+            # applied to the row of g^i
+            g_row = bytes(exp[1 + lb] for lb in log) + pad
+            rows = [bytes(256)] * order
+            row = bytes(range(order)) + pad
+            for a in exp[: order - 1]:
+                rows[a] = row
+                row = row.translate(g_row)
+            self._mul_rows = rows
 
     def __repr__(self) -> str:
         return f"Field({self.order})"
 
     def check(self, a: int) -> int:
+        """Return a as an int, or raise ValueError unless it is an element."""
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise ValueError(f"{a!r} is not an element of GF({self.order})") from None
         if not 0 <= a < self.order:
             raise ValueError(f"{a} is not an element of GF({self.order})")
         return a
@@ -107,8 +130,8 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if not 0 <= a < self.order or not 0 <= b < self.order:
             raise ValueError(f"mul({a}, {b}): not elements of GF({self.order})")
-        if self._mul_table is not None:
-            return self._mul_table[a * self.order + b]
+        if self._mul_rows is not None:
+            return self._mul_rows[a][b]
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -133,22 +156,65 @@ class Field:
 
     def sub_scaled(self, u: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
         """The row u - c*v, element by element (zip stops at the shorter)."""
-        if self._mul_table is None or self.characteristic != 2:
+        if self._mul_rows is None or self.characteristic != 2:
             return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
-        row = self._mul_table[c * self.order : (c + 1) * self.order]
+        row = self._mul_rows[c]
         return [x ^ row[y] for x, y in zip(u, v)]
 
     def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
         """Horner evaluation at x of the polynomial with ascending coefficients."""
         acc = 0
-        if self._mul_table is None or self.characteristic != 2:
+        if self._mul_rows is None or self.characteristic != 2:
             for c in reversed(coeffs):
                 acc = self.add(self.mul(acc, x), c)
             return acc
-        row = self._mul_table[x * self.order : (x + 1) * self.order]
+        row = self._mul_rows[x]
         for c in reversed(coeffs):
             acc = row[acc] ^ c
         return acc
+
+    def power_rows(self, points: Sequence[int], count: int) -> tuple:
+        """
+        For j = 0..count-1 the vector of a^j over the points, from exp/log.
+        With the exp cycle repeated, a^j for a != 0 is entry j*log(a), so
+        each point's powers are one strided slice, and each row is one more.
+        """
+        if points and not (0 <= min(points) and max(points) < self.order):
+            raise ValueError(f"power_rows: points must be elements of GF({self.order})")
+        m, log = self.order - 1, self._log
+        cycle = self.vector(self._exp[:m]) * count
+        zero = self.vector([1] + [0] * (count - 1))  # 0^0 = 1
+        # step m reads exp[0] = 1 at every j, the powers of a = 1
+        columns = [cycle[: count * (log[a] or m) : log[a] or m] if a else zero for a in points]
+        if self._mul_rows is not None:
+            flat = b"".join(columns)
+        else:
+            flat = tuple(chain.from_iterable(columns))
+        return tuple(flat[j::count] for j in range(count))
+
+    def vector(self, values: Sequence[int]) -> bytes | tuple[int, ...]:
+        """values as a row for ``combine``: bytes when the field has byte rows."""
+        return bytes(values) if self._mul_rows is not None else tuple(values)
+
+    def combine(self, coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """
+        The sum of c * row over zip(coeffs, rows). Rows share one length and
+        are made by ``vector`` or ``power_rows``; coefficients are elements
+        of the field.
+        """
+        if not rows:
+            return ()
+        length = len(rows[0])
+        if self._mul_rows is not None and self.characteristic == 2:
+            # c * row is row translated through c's table row; XOR adds
+            scaled = map(bytes.translate, rows, map(self._mul_rows.__getitem__, coeffs))
+            total = reduce(operator.xor, map(int.from_bytes, scaled, repeat("little")), 0)
+            return tuple(total.to_bytes(length, "little"))
+        out = [0] * length
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = [self.add(x, self.mul(c, y)) for x, y in zip(out, row)]
+        return tuple(out)
 
     def _mul_raw(self, a: int, b: int) -> int:
         if self.degree == 1:

@@ -21,7 +21,7 @@ from ulamcodes.block_codes import (
 )
 from ulamcodes.block_codes import _poly_divmod
 from ulamcodes.errors import ParameterError
-from ulamcodes.perm_core import from_digits
+from ulamcodes.perm_core import from_digits, to_digits
 
 
 def gv_ball_volume(length, radius, alphabet_size):
@@ -297,22 +297,45 @@ class TestGaoAgainstBerlekampWelch:
         )
 
     def test_interpolation_tables_built_on_first_decode(self):
-        code = rs_code(16, 16, 8)
-        code.encode_index(7)
-        assert code._interpolation == ()
-        attributes = set(vars(code))
-        assert code.decode_word(code.encode_index(7)) == 7
-        # filled in place: a decode adds no instance attribute
-        assert set(vars(code)) == attributes
-        g0, rows = code._interpolation
+        # byte rows in characteristic 2 and in odd characteristic, and
+        # tuple rows above the table limit
+        for code in (rs_code(16, 16, 8), rs_code(9, 8, 3), rs_code(1024, 10, 4)):
+            code.encode_index(7)
+            assert code._interpolation == ()
+            attributes = set(vars(code))
+            assert code.decode_word(code.encode_index(7)) == 7
+            # filled in place: a decode adds no instance attribute
+            assert set(vars(code)) == attributes
+            g0, rows = code._interpolation
+            f = code.field
+            # g0 vanishes on every point; row i is L_i as a field vector, so
+            # 1 at a_i and 0 elsewhere, and g1 = sum r_i * L_i needs no sign
+            assert len(g0) == code.block_length + 1
+            assert all(f.eval_poly(g0, a) == 0 for a in code.points)
+            assert len(rows) == code.block_length
+            for i, row in enumerate(rows):
+                assert row == f.vector(row) and len(row) == code.block_length
+                assert [f.eval_poly(row, a) for a in code.points] == [
+                    int(j == i) for j in range(code.block_length)
+                ]
+
+    # characteristic 2 with byte rows (up to GF(256)), odd orders with byte
+    # rows, and fields above the table limit, which combine element by element
+    @pytest.mark.parametrize("field_order,n,k", [
+        (2, 2, 1), (16, 16, 8), (32, 32, 16), (256, 40, 12), (9, 8, 3),
+        (25, 24, 9), (13, 12, 5), (243, 30, 7), (512, 20, 6), (1024, 10, 4),
+    ])
+    def test_encode_matches_horner(self, field_order, n, k):
+        code = rs_code(field_order, n, k)
         f = code.field
-        # g0 vanishes on every point; row i is -L_i, so -1 at a_i and 0 elsewhere
-        assert len(g0) == code.block_length + 1
-        assert all(f.eval_poly(g0, a) == 0 for a in code.points)
-        for i, row in enumerate(rows):
-            assert [f.eval_poly(row, a) for a in code.points] == [
-                f.neg(1) if j == i else 0 for j in range(code.block_length)
-            ]
+        rng = random.Random(field_order * 1000 + n)
+        special = [0, 1, field_order - 1]
+        for _ in range(30):
+            message = [rng.choice(special + [rng.randrange(field_order)]) for _ in range(k)]
+            assert code.encode(message) == tuple(f.eval_poly(message, a) for a in code.points)
+        x = rng.randrange(code.size)
+        digits = to_digits(x, field_order, k)
+        assert code.encode_index(x) == tuple(f.eval_poly(digits, a) for a in code.points)
 
 
 class TestGreedyGv:
@@ -569,3 +592,30 @@ class TestSpecObject:
             code.decode_word((0, 0, 0))
         with pytest.raises(ValueError):
             code.decode_word((0, 0, 0, 0, 9))
+
+    # one code of each type; an integral float such as 1.0 passes a range
+    # check, so each must be refused by type before any table lookup
+    @pytest.mark.parametrize("make", [
+        lambda: rs_code(16, 8, 3),
+        lambda: rs_code(5, 5, 2),
+        lambda: greedy_gv_code(4, 4, 3),
+        lambda: concat_code(rs_code(16, 16, 8), greedy_gv_code(4, 4, 3)),
+        lambda: repetition_code(3, 5),
+        lambda: identity_code(3, 4),
+    ], ids=["rs-gf16", "rs-gf5", "gv", "concat", "repetition", "identity"])
+    def test_decode_rejects_non_integer_symbols(self, make):
+        code = make()
+        zeros = (0,) * (code.block_length - 1)
+        for bad in (1.0, 0.5, "1", None):
+            with pytest.raises(ValueError, match=re.escape(f"symbol {bad!r} is not an integer")):
+                code.decode_word((bad,) + zeros)
+        # bools and other __index__ types are read as the ints they stand for
+        assert code.decode_word((True,) + zeros) == code.decode_word((1,) + zeros)
+
+    @pytest.mark.parametrize("field_order", [16, 5, 1024])
+    def test_encode_rejects_non_integer_symbols(self, field_order):
+        code = rs_code(field_order, 5, 3)
+        for bad in (1.0, "1", None):
+            with pytest.raises(ValueError, match=f"is not an element of GF\\({field_order}\\)"):
+                code.encode((0, bad, 0))
+        assert code.encode((0, True, 0)) == code.encode((0, 1, 0))

@@ -128,13 +128,85 @@ def test_vector_methods_match_scalar_composition(order):
     check_vector_methods(Field(order), 300)
 
 
+@pytest.mark.parametrize("order", [256, 512])
+def test_vector_methods_at_the_table_limit(order):
+    # GF(256) is the largest field with byte rows; GF(512) reads exp/log
+    f = Field(order)
+    assert (f._mul_rows is None) == (order > 256)
+    check_vector_methods(f, 100)
+
+
 def test_vector_methods_without_tables():
     # above the table limit both vector methods call mul per element, and
     # mul reads the exp/log tables
-    f = Field(1024)
-    check_vector_methods(f, 20)
-    assert f.add(0b1011, 0b0110) == 0b1101 == f.sub(0b1011, 0b0110)
-    assert f.neg(77) == 77
+    for order in (512, 1024):
+        f = Field(order)
+        assert f._mul_rows is None
+        check_vector_methods(f, 20)
+        assert f.add(0b1011, 0b0110) == 0b1101 == f.sub(0b1011, 0b0110)
+        assert f.neg(77) == 77
+
+
+@pytest.mark.parametrize("order", PRIME_POWERS_TO_64 + [256, 512, 1024])
+def test_combine_matches_scalar_sum(order):
+    # the sum of c_i * row_i against raw products added digit by digit
+    f = Field(order)
+    rng = random.Random(order)
+    special = [0, 1, order - 1]
+    for _ in range(60):
+        length = rng.randrange(1, 12)
+        rows = [
+            [rng.choice(special + [rng.randrange(order)]) for _ in range(length)]
+            for _ in range(rng.randrange(1, 9))
+        ]
+        coeffs = [rng.choice(special + [rng.randrange(order)]) for _ in rows]
+        expected = [0] * length
+        for c, row in zip(coeffs, rows):
+            expected = [digitwise(f, x, f._mul_raw(c, y), 1) for x, y in zip(expected, row)]
+        vectors = [f.vector(row) for row in rows]
+        assert all(type(v) is (bytes if order <= 256 else tuple) for v in vectors)
+        assert f.combine(coeffs, vectors) == tuple(expected)
+    assert f.combine([], []) == ()
+
+
+@pytest.mark.parametrize("order", [2, 3, 8, 9, 243, 256, 512, 1024])
+def test_power_rows_match_repeated_raw_products(order):
+    f = Field(order)
+    points = sorted({0, 1, 2 % order, order - 1, order // 2})
+    for count in (0, 1, 12):
+        rows = f.power_rows(points, count)
+        assert len(rows) == count
+        for j, row in enumerate(rows):
+            assert row == f.vector(row)
+            expected = []
+            for a in points:
+                acc = 1
+                for _ in range(j):
+                    acc = f._mul_raw(acc, a)
+                expected.append(acc)
+            assert list(row) == expected
+    for bad in (-1, order):
+        with pytest.raises(ValueError, match="GF"):
+            f.power_rows([0, bad], 3)
+
+
+@pytest.mark.parametrize("order", [4, 9, 32, 243, 256])
+def test_multiplication_rows_are_padded_bytes(order):
+    f = Field(order)
+    assert len(f._mul_rows) == order
+    for a, row in enumerate(f._mul_rows):
+        assert type(row) is bytes and len(row) == 256
+        assert not any(row[order:])
+        assert list(row[:order]) == [f._mul_raw(a, b) for b in range(order)]
+
+
+@pytest.mark.parametrize("order", [32, 1024])
+def test_check_rejects_non_integers(order):
+    f = Field(order)
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match="GF"):
+            f.check(bad)
+    assert f.check(True) == 1 and type(f.check(True)) is int
 
 
 # ------------------------------------------- exp/log tables against _mul_raw
@@ -171,10 +243,10 @@ def test_tables_match_raw_product_on_samples(order):
         assert f._mul_raw(a, f.inv(a)) == 1
 
 
-@pytest.mark.parametrize("order", [1024, 2187, 4096])
+@pytest.mark.parametrize("order", [512, 1024, 2187, 4096])
 def test_above_table_limit_matches_raw_product(order):
     f = Field(order)
-    assert f._mul_table is None
+    assert f._mul_rows is None
     check_exp_log(f)
     rng = random.Random(order)
     elements = [*range(8), order - 1] + [rng.randrange(order) for _ in range(60)]
