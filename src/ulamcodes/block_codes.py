@@ -10,6 +10,9 @@ for explicit codeword lists it is the list position).
 ``DecodeFailure`` value, and it never returns a wrong message when some
 codeword lies within ``decoding_radius`` of the input.
 
+Every symbol and message index a code takes is checked by the one
+integer rule of ``perm_core._check_ints``; a bad one raises ParameterError.
+
 Available constructions: Reed-Solomon with Gao decoding, explicit
 codeword lists such as the greedy Gilbert-Varshamov codes with
 nearest-codeword decoding through packed agreement counts, code
@@ -27,7 +30,6 @@ and all are safe for concurrent use.
 from __future__ import annotations
 
 import itertools
-import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -35,7 +37,7 @@ from typing import Iterator, Sequence
 
 from .errors import ParameterError
 from .fields import Field
-from .perm_core import from_digits, read_int_rows, to_digits, write_int_rows
+from .perm_core import _check_ints, from_digits, read_int_rows, to_digits, write_int_rows
 
 GV_SEARCH_LIMIT = 10_000_000
 
@@ -72,23 +74,7 @@ class BlockCode:
             raise ValueError(
                 f"word length must be {self.block_length}, got {len(word)}"
             )
-        q = self.alphabet_size
-        for d in word:
-            if type(d) is not int or not 0 <= d < q:
-                break
-        else:
-            return word
-        # read other symbols through __index__, as is_permutation does, so
-        # that an integral float such as 1.0 is refused rather than matched
-        try:
-            word = tuple(map(operator.index, word))
-        except TypeError:
-            bad = next(d for d in word if not hasattr(type(d), "__index__"))
-            raise ValueError(f"symbol {bad!r} is not an integer") from None
-        for d in word:
-            if not 0 <= d < q:
-                raise ValueError(f"symbol {d} out of range [0, {q})")
-        return word
+        return _check_ints(word, self.alphabet_size)
 
 
 def hamming_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -134,10 +120,7 @@ class ReedSolomonCode(BlockCode):
         return f"ReedSolomonCode(GF({self.field.order}), n={self.block_length}, k={self.k})"
 
     def encode_index(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x < self.size:
-            raise ValueError(f"message index {x} out of range [0, {self.size})")
-        digits = to_digits(x, self.alphabet_size, self.k)
-        return self.encode(digits)
+        return self.encode(to_digits(x, self.alphabet_size, self.k))
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         if len(message) != self.k:
@@ -250,14 +233,10 @@ class ExplicitCode(BlockCode):
             raise ParameterError(f"alphabet size must be >= 2, got {alphabet_size}")
         if not words:
             raise ParameterError("explicit code needs at least one codeword")
-        tup = tuple(tuple(w) for w in words)
+        tup = tuple(_check_ints(w, alphabet_size) for w in words)
         length = len(tup[0])
-        for w in tup:
-            if len(w) != length:
-                raise ParameterError("codewords must share one length")
-            for d in w:
-                if not 0 <= d < alphabet_size:
-                    raise ParameterError(f"symbol {d} out of range [0, {alphabet_size})")
+        if any(len(w) != length for w in tup):
+            raise ParameterError("codewords must share one length")
         if len(set(tup)) != len(tup):
             raise ParameterError("explicit code has repeated codewords")
         self.alphabet_size = alphabet_size
@@ -301,9 +280,7 @@ class ExplicitCode(BlockCode):
         return counts
 
     def encode_index(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x < self.size:
-            raise ValueError(f"message index {x} out of range [0, {self.size})")
-        return self.words[x]
+        return self.words[_check_ints((x,), self.size, "message index")[0]]
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         counts = self._agreements(self.check_word(word))
@@ -382,15 +359,17 @@ class ConcatenatedCode(BlockCode):
         self.size = outer.size
         self.min_distance = outer.min_distance * inner.min_distance
         self.decoding_radius = -(-self.min_distance // 4) - 1  # ceil(d/4) - 1
+        # the inner codeword of each outer symbol: the outer code only makes
+        # symbols in [inner.size], so encoding reads them unchecked
+        self._inner_words = tuple(inner.codewords())
 
     def __repr__(self) -> str:
         return f"ConcatenatedCode({self.outer!r} over {self.inner!r})"
 
     def encode_index(self, x: int) -> tuple[int, ...]:
-        outer_word = self.outer.encode_index(x)
         out: list[int] = []
-        for sym in outer_word:
-            out.extend(self.inner.encode_index(sym))
+        for sym in self.outer.encode_index(x):
+            out += self._inner_words[sym]
         return tuple(out)
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
@@ -432,9 +411,7 @@ class RepetitionCode(BlockCode):
         return f"RepetitionCode({self.alphabet_size}, n={self.block_length})"
 
     def encode_index(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x < self.size:
-            raise ValueError(f"message index {x} out of range [0, {self.size})")
-        return (x,) * self.block_length
+        return _check_ints((x,), self.size, "message index") * self.block_length
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         word = self.check_word(word)
@@ -463,8 +440,6 @@ class IdentityCode(BlockCode):
         return f"IdentityCode({self.alphabet_size}, n={self.block_length})"
 
     def encode_index(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x < self.size:
-            raise ValueError(f"message index {x} out of range [0, {self.size})")
         return to_digits(x, self.alphabet_size, self.block_length)
 
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:

@@ -53,7 +53,8 @@ class InstanceConfig:
         ground = self.resolve_ground()
         if self.code is None:
             raise ParameterError("instance needs a block-code descriptor")
-        code = resolve_block_code(self.code, ground.p, self.q ** (self.ell - 1))
+        # UlamCodeParams refuses a code whose alphabet or length does not fit
+        code = _parse_code(self.code)
         return ulam_code.UlamCodeParams(q=self.q, ell=self.ell, ground=ground, code=code)
 
     def resolve_ground(self) -> GroundSet:
@@ -129,18 +130,6 @@ def resolve_ground_set(desc: str, q: int) -> GroundSet:
         )
         return ground_set.brute_force_ground_set(q, target_p[0] if target_p else None, max_lcs)
     raise ParameterError(f"unknown ground-set descriptor {desc!r}")
-
-
-def resolve_block_code(desc: str, alphabet: int, length: int) -> BlockCode:
-    """Resolve a descriptor; alphabet/length are the instance's required values."""
-    code = _parse_code(desc)
-    if code.alphabet_size != alphabet:
-        raise ParameterError(
-            f"block code alphabet {code.alphabet_size} != ground-set size {alphabet}"
-        )
-    if code.block_length != length:
-        raise ParameterError(f"block code length {code.block_length} != n/q = {length}")
-    return code
 
 
 # kind -> (constructor, expected descriptor shape)

@@ -153,10 +153,8 @@ def xor_ground_set(q: int, code: BlockCode) -> GroundSet:
         raise ParameterError(
             f"code length {code.block_length} != log2(q) = {r}"
         )
-    perms = [
-        tuple(i ^ from_digits(g, 2) for i in range(q)) for g in code.codewords()
-    ]
-    return _certify(q, perms)
+    values = [from_digits(g, 2) for g in code.codewords()]
+    return _certify(q, [tuple(i ^ x for i in range(q)) for x in values])
 
 
 def brute_force_ground_set(

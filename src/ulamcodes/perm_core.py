@@ -1,6 +1,6 @@
 """
 Permutation strings, restriction, base-q position indexing, the Ulam
-distance, and the integer-row file format.
+distance, the integer rule, and the integer-row file format.
 
 Permutations of [n] = {0, ..., n-1} are handled in word form: the tuple
 (pi[0], ..., pi[n-1]). Distance computations accept the wider class of
@@ -19,6 +19,12 @@ one comparison per symbol; the O(m log m) worst case is unchanged. The
 quadratic dynamic program is kept alongside permanently as an
 independent oracle.
 
+The integer rule, written once in _check_ints: every symbol, digit,
+message index and shuffler symbol a caller passes is read through
+operator.index, so a bool counts as its int and a float (even 1.0), a
+string or None is refused, and it must lie in [0, bound); a breach raises
+ParameterError (a ValueError) naming the value.
+
 Every library file (permutations, ground sets, explicit codes, traces)
 is ASCII text, one row of space-separated integers per line, read and
 written only by read_int_rows and write_int_rows. Blank lines are
@@ -34,11 +40,43 @@ import re
 from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
 
+from .errors import ParameterError
+
 
 def check_distinct(s: Sequence[int], name: str = "string") -> None:
     """Raise ValueError if s contains a repeated symbol."""
     if len(set(s)) != len(s):
         raise ValueError(f"{name} has repeated symbols: {tuple(s)!r}")
+
+
+def _check_ints(values: Iterable[int], bound: int, name: str = "symbol") -> tuple[int, ...]:
+    """
+    values as a tuple of ints in [0, bound) under the integer rule (see the
+    module docstring), or ParameterError naming the first bad value. A
+    single value x is checked as (x,).
+
+    >>> _check_ints((True, 2), 3)
+    (1, 2)
+    >>> _check_ints((1.0,), 3, "digit")
+    Traceback (most recent call last):
+    ...
+    ulamcodes.errors.ParameterError: digit 1.0 is not an integer
+    """
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int or not 0 <= v < bound:
+            break
+    else:
+        return values
+    try:
+        values = tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ParameterError(f"{name} {bad!r} is not an integer") from None
+    for v in values:
+        if not 0 <= v < bound:
+            raise ParameterError(f"{name} {v} out of range [0, {bound})")
+    return values
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -190,7 +228,7 @@ def restrict(s: Sequence[int], symbols: Iterable[int]) -> tuple[int, ...]:
 
 def to_digits(m: int, q: int, length: int) -> tuple[int, ...]:
     """
-    Base-q digits of m, most significant first, padded to `length`.
+    Base-q digits of message index m, most significant first, padded to `length`.
 
     >>> to_digits(5, 2, 3)
     (1, 0, 1)
@@ -199,8 +237,7 @@ def to_digits(m: int, q: int, length: int) -> tuple[int, ...]:
     """
     if q < 1:
         raise ValueError(f"base must be >= 1, got {q}")
-    if not 0 <= m < q**length:
-        raise ValueError(f"value {m} out of range [0, {q}^{length})")
+    (m,) = _check_ints((m,), q**length, "message index")
     digits = []
     for _ in range(length):
         m, r = divmod(m, q)
@@ -218,9 +255,7 @@ def from_digits(digits: Sequence[int], q: int) -> int:
     if q < 1:
         raise ValueError(f"base must be >= 1, got {q}")
     value = 0
-    for d in digits:
-        if not 0 <= d < q:
-            raise ValueError(f"digit {d} out of range [0, {q})")
+    for d in _check_ints(digits, q, "digit"):
         value = value * q + d
     return value
 

@@ -67,7 +67,7 @@ from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
 from .perm_core import (
-    from_digits, identity, inverse, to_digits, ulam_distance, validate_permutation
+    _check_ints, from_digits, identity, inverse, to_digits, ulam_distance, validate_permutation
 )
 
 ShufflerTuple = tuple[tuple[int, ...], ...]
@@ -105,6 +105,8 @@ class UlamCodeParams:
     code: BlockCode
 
     def __post_init__(self):
+        if not all(hasattr(type(v), "__index__") for v in (self.q, self.ell)):
+            raise ParameterError(f"q and ell must be integers, got q={self.q!r}, ell={self.ell!r}")
         if self.q < 2:
             raise ParameterError(f"q must be >= 2, got {self.q}")
         if self.ell < 1:
@@ -183,9 +185,7 @@ def apply_stage(
         raise ParameterError(f"permutation length {n} is not a power of q={q}")
     if not 1 <= stage <= ell:
         raise ParameterError(f"stage must be in 1..{ell}, got {stage}")
-    for c in (min(shuffler), max(shuffler)):
-        if not 0 <= c < ground.p:
-            raise ParameterError(f"shuffler symbol {c} out of range [0, {ground.p})")
+    shuffler = _check_ints(shuffler, ground.p, "shuffler symbol")
     gathers = ground.gathers
     out = [0] * n
     for group, c in zip(_stage_groups(q, ell, stage), shuffler):
@@ -216,9 +216,6 @@ def message_to_shufflers(x: int, params: UlamCodeParams) -> ShufflerTuple:
     Split x in [M] into ell stage coordinates by mixed radix base |C|
     (most significant = stage 1) and encode each with C.
     """
-    m = params.message_count
-    if not 0 <= x < m:
-        raise ParameterError(f"message {x} out of range [0, {m})")
     return tuple(map(params.code.encode_index, to_digits(x, params.code.size, params.ell)))
 
 

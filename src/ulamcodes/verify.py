@@ -297,4 +297,8 @@ def rate_report(params: UlamCodeParams) -> RateReport:
 
 
 def report_json(report, timings: bool = True) -> str:
-    return json.dumps(report.as_dict(timings), indent=2, sort_keys=True)
+    """Any report as JSON; timings=False drops its elapsed_seconds, if it has one."""
+    payload = report.as_dict()
+    if not timings:
+        payload.pop("elapsed_seconds", None)
+    return json.dumps(payload, indent=2, sort_keys=True)

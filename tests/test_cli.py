@@ -52,6 +52,18 @@ def test_build_reports_constraint_violation(capsys):
     assert "n/q" in err
 
 
+def test_build_reports_alphabet_mismatch_once(capsys):
+    assert main(["build", "--q", "4", "--ell", "2", "--ground-set", "xor:all",
+                 "--code", "gv:3,4,2"]) == 1
+    assert capsys.readouterr().err == "error: shuffler code alphabet 3 != |ground| = 4\n"
+
+
+def test_raw_shuffler_symbol_out_of_range_names_the_shuffler(capsys):
+    assert main(["encode", "--q", "2", "--ground-set", "bruteforce:1",
+                 "--raw-shufflers", "5 0 0 1; 1 1 1 0; 0 0 0 1"]) == 1
+    assert capsys.readouterr().err == "error: shuffler symbol 5 out of range [0, 2)\n"
+
+
 @pytest.mark.parametrize(
     "q, ell, message",
     [("0", "2", "q must be >= 2, got 0"), ("8", "-1", "ell must be >= 1, got -1")],

@@ -1,9 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
-from ulamcodes import perm_core
+import ulamcodes
 
 
-def test_perm_core_doctests():
-    results = doctest.testmod(perm_core)
-    assert results.failed == 0
-    assert results.attempted > 0
+def test_every_module_doctests():
+    attempted = 0
+    for info in pkgutil.iter_modules(ulamcodes.__path__):
+        module = importlib.import_module(f"ulamcodes.{info.name}")
+        results = doctest.testmod(module)
+        assert results.failed == 0, info.name
+        attempted += results.attempted
+    assert attempted > 0

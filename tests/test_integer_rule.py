@@ -1,0 +1,42 @@
+"""
+The integer rule (see the perm_core docstring), checked at every public
+entry that takes a symbol, digit, message index or shuffler symbol.
+"""
+import re
+
+import pytest
+
+import ulamcodes as uc
+from ulamcodes.block_codes import ExplicitCode
+
+BINARY = uc.xor_ground_set(2, uc.identity_code(2, 1))  # both perms of [2]
+GV_INSTANCE = uc.UlamCodeParams(
+    q=4, ell=2, ground=uc.xor_ground_set(4, uc.identity_code(2, 2)),
+    code=uc.greedy_gv_code(4, 4, 2),
+)
+
+# each entry maps one value v to the entry's output for an input holding v
+ENTRIES = {
+    "encode": lambda v: uc.encode(v, GV_INSTANCE),
+    "message_to_shufflers": lambda v: uc.message_to_shufflers(v, GV_INSTANCE),
+    "rs.encode_index": lambda v: uc.rs_code(4, 4, 2).encode_index(v),
+    "gv.encode_index": lambda v: uc.greedy_gv_code(4, 4, 3).encode_index(v),
+    "concat.encode_index":
+        lambda v: uc.concat_code(uc.rs_code(4, 4, 2), uc.identity_code(2, 2)).encode_index(v),
+    "repetition.encode_index": lambda v: uc.repetition_code(3, 4).encode_index(v),
+    "identity.encode_index": lambda v: uc.identity_code(2, 3).encode_index(v),
+    "ExplicitCode": lambda v: ExplicitCode(2, [(v, 0), (0, 0)]).words,
+    "run_stages": lambda v: uc.run_stages(((v,),), BINARY),
+    "apply_stage": lambda v: uc.apply_stage(uc.identity(4), 1, (v, 0), BINARY),
+    "to_digits": lambda v: uc.to_digits(v, 2, 3),
+    "from_digits": lambda v: uc.from_digits((v, 0), 2),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES.keys())
+def test_entry_keeps_the_integer_rule(entry):
+    for bad in (1.0, 0.5, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} is not an integer")):
+            entry(bad)
+    # a bool is the int it stands for
+    assert entry(True) == entry(1)

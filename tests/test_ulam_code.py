@@ -674,6 +674,12 @@ class TestParamsAndBounds:
         with pytest.raises(ParameterError):
             uc.UlamCodeParams(q=8, ell=2, ground=ground, code=uc.identity_code(4, 8))
 
+    @pytest.mark.parametrize("q, ell", [(8.0, 2), (8, 2.0), (8, "2"), (None, 2)])
+    def test_refuses_non_integer_q_or_ell(self, q, ell):
+        ground = uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2))
+        with pytest.raises(ParameterError, match="q and ell must be integers"):
+            uc.UlamCodeParams(q=q, ell=ell, ground=ground, code=uc.greedy_gv_code(4, 8, 5))
+
     def test_derived_quantities(self, q4_instance):
         assert q4_instance.n == 16
         assert q4_instance.p == 4

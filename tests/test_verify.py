@@ -227,3 +227,16 @@ class TestRateReport:
         params = uc.UlamCodeParams(q=2, ell=1, ground=ground, code=code)
         report = rate_report(params)
         assert report.rate == pytest.approx(math.log(2) / math.log(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda params: audit_pairwise(params, sample_pairs=20, seed=3),
+    lambda params: decoder_sweep(params, [0, 2], trials=5, seed=8),
+    rate_report,
+], ids=["audit", "sweep", "rate"])
+def test_report_json_round_trips_every_report(q4_instance, make):
+    report = make(q4_instance)
+    payload = report.as_dict()
+    assert json.loads(report_json(report)) == payload
+    payload.pop("elapsed_seconds", None)
+    assert json.loads(report_json(report, timings=False)) == payload
