@@ -11,7 +11,8 @@ for explicit codeword lists it is the list position).
 codeword lies within ``decoding_radius`` of the input.
 
 Every symbol and message index a code takes is checked by the one
-integer rule of ``perm_core._check_ints``; a bad one raises ParameterError.
+integer rule of ``perm_core._check_ints``, and the factories read their
+parameters by it through ``_index_ints``; a bad one raises ParameterError.
 
 Available constructions: Reed-Solomon with Gao decoding, explicit
 codeword lists such as the greedy Gilbert-Varshamov codes with
@@ -37,7 +38,9 @@ from typing import Iterator, Sequence
 
 from .errors import ParameterError
 from .fields import Field
-from .perm_core import _check_ints, from_digits, read_int_rows, to_digits, write_int_rows
+from .perm_core import (
+    _check_ints, _index_ints, from_digits, read_int_rows, to_digits, write_int_rows
+)
 
 GV_SEARCH_LIMIT = 10_000_000
 
@@ -208,6 +211,7 @@ def _trim(poly: list[int]) -> list[int]:
 
 def rs_code(field_order: int, n: int, k: int) -> ReedSolomonCode:
     """Reed-Solomon [n, k] over GF(field_order); min distance n-k+1."""
+    field_order, n, k = _index_ints((field_order, n, k))
     return ReedSolomonCode(Field(field_order), n, k)
 
 
@@ -307,6 +311,7 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
     more than length - d places, so one AND rejects it. The search-space
     limit keeps length <= 23, so a byte never overflows.
     """
+    alphabet_size, length, min_distance = _index_ints((alphabet_size, length, min_distance))
     if min_distance < 1 or min_distance > length:
         raise ParameterError(
             f"need 1 <= min_distance <= length, got d={min_distance}, length={length}"
@@ -447,11 +452,11 @@ class IdentityCode(BlockCode):
 
 
 def repetition_code(alphabet_size: int, block_length: int) -> RepetitionCode:
-    return RepetitionCode(alphabet_size, block_length)
+    return RepetitionCode(*_index_ints((alphabet_size, block_length)))
 
 
 def identity_code(alphabet_size: int, block_length: int) -> IdentityCode:
-    return IdentityCode(alphabet_size, block_length)
+    return IdentityCode(*_index_ints((alphabet_size, block_length)))
 
 
 # ------------------------------------------------------------ text interface

@@ -49,11 +49,11 @@ class GroundSet:
     p distinct permutations of [q] plus their exact max pairwise LCS.
 
     pair_lcs[i][j] is the LCS of perms[i] and perms[j] (q on the
-    diagonal); by_first_symbol[s] lists, ascending, the indices of the
-    permutations that start with symbol s. gathers[c] is
-    itemgetter(*perms[c]): given a group's q contents g it returns
-    (g[perms[c][0]], ..., g[perms[c][q-1]]). It is empty for q < 2,
-    where an itemgetter would not return a tuple.
+    diagonal); by_first_symbol[s] (by_last_symbol[s]) lists, ascending,
+    the indices of the permutations that start (end) with symbol s.
+    gathers[c] is itemgetter(*perms[c]): given a group's q contents g it
+    returns (g[perms[c][0]], ..., g[perms[c][q-1]]). It is empty for
+    q < 2, where an itemgetter would not return a tuple.
 
     gaps[d][l] = |q - d - l| for d, l in 0..q. Once some rank pattern r
     is known to lie at Ulam distance d from perms[c], the triangle
@@ -70,6 +70,7 @@ class GroundSet:
     worst_pair: tuple[int, int] | None
     pair_lcs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     by_first_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    by_last_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     gathers: tuple[itemgetter, ...] = field(compare=False, repr=False)
     gaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
@@ -121,14 +122,18 @@ def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
 def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
     _check_perms(q, perms)
     pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
-    by_first = tuple(tuple(c for c, w in enumerate(perms) if w[0] == s) for s in range(q))
+    by_first, by_last = [[] for _ in range(q)], [[] for _ in range(q)]
+    for c, w in enumerate(perms if q else ()):
+        by_first[w[0]].append(c)
+        by_last[w[-1]].append(c)
     return GroundSet(
         q=q,
         perms=tuple(perms),
         certified_max_lcs=max_lcs,
         worst_pair=worst,
         pair_lcs=pair_lcs,
-        by_first_symbol=by_first,
+        by_first_symbol=tuple(map(tuple, by_first)),
+        by_last_symbol=tuple(map(tuple, by_last)),
         gathers=tuple(itemgetter(*w) for w in perms) if q >= 2 else (),
         gaps=tuple((*range(q - d, 0, -1), *range(d + 1)) for d in range(q + 1)),
     )

@@ -68,15 +68,23 @@ def _check_ints(values: Iterable[int], bound: int, name: str = "symbol") -> tupl
             break
     else:
         return values
-    try:
-        values = tuple(map(operator.index, values))
-    except TypeError:
-        bad = next(v for v in values if not hasattr(type(v), "__index__"))
-        raise ParameterError(f"{name} {bad!r} is not an integer") from None
+    values = _index_ints(values, name)
     for v in values:
         if not 0 <= v < bound:
             raise ParameterError(f"{name} {v} out of range [0, {bound})")
     return values
+
+
+def _index_ints(values: Sequence[int], name: str = "parameter") -> tuple[int, ...]:
+    """
+    values read through operator.index, the integer rule without its range
+    (which the caller checks), or ParameterError naming the first non-integer.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ParameterError(f"{name} {bad!r} is not an integer") from None
 
 
 def is_permutation(word: Sequence[int]) -> bool:

@@ -39,11 +39,15 @@ The per-group guess is an exact nearest-neighbour search. A group is
 read once as its rank pattern r, the x-indices of its symbols in
 received order; r is a permutation of [q], and relabeling symbols by x
 does not change an Ulam distance, so each candidate c is scored as
-ulam_distance(r, sigma_c). An exact match is looked up first. Otherwise
-the candidate starting with r[0] is scored; when its distance d0 is
-below half the ground set's minimum pairwise distance q - max_lcs, every
-other candidate is farther and it is the answer. Otherwise the search is
-best-first elimination (E. Vidal's AESA, 1986): each scored candidate c
+ulam_distance(r, sigma_c). An exact match is looked up first. Then up
+to three anchors are scored: the first candidates that start with r[0],
+end with r[-1] and start with r[1] (a symbol relocated to the front
+hides the true candidate from r[0], rarely from the other two), each
+skipped when missing or ruled out by the bounds below. A distance d
+below half the ground set's minimum pairwise distance q - max_lcs puts
+every other candidate farther, so that candidate is the answer.
+Otherwise the search goes on by best-first elimination (E. Vidal's
+AESA, 1986): each scored candidate c
 at distance d bounds every x from below by |d - (q - LCS(sigma_c,
 sigma_x))|, the triangle inequality; each x keeps the largest bound over
 the candidates scored so far, the candidate with the smallest (bound,
@@ -249,8 +253,9 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     """
     The index c minimizing ulam_distance(rank, sigma_c) for a group's rank
     pattern (a permutation of [q]); ties go to the smallest c. The
-    best-first elimination search is described in the module docstring;
-    each candidate it scores is one call of the module-level
+    anchors named by rank[0], rank[-1] and rank[1] are scored first, then
+    the best-first elimination search of the module docstring runs from
+    their bounds; each candidate scored is one call of the module-level
     ulam_distance, and every other candidate is ruled out by a bound.
     """
     perms = ground.perms
@@ -258,24 +263,28 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     for c in starts:
         if perms[c] == rank:
             return c
-    best = starts[0] if starts else 0
-    best_d = ulam_distance(rank, perms[best])
-    separation = len(rank) - ground.certified_max_lcs
-    if 2 * best_d < separation:
-        # every other candidate is farther than best_d: the stop rule below
-        # would return best on its first test, after a min over p bounds
-        return best
     pair_lcs, gaps = ground.pair_lcs, ground.gaps
+    separation = len(rank) - ground.certified_max_lcs
+    # the anchors named by rank[0], rank[-1] and rank[1], popped from the end
+    named = (ground.by_first_symbol[rank[1]], ground.by_last_symbol[rank[-1]], starts)
+    anchors = [cs[0] for cs in named if cs]
     # lower[x] <= d(rank, sigma_x), with equality for every scored x, so no
-    # scored candidate other than best is picked again
-    gap = gaps[best_d]
-    lower = [gap[l] for l in pair_lcs[best]]
+    # scored candidate is picked again; best_d starts above every distance
+    lower = [0] * len(perms)
+    best, best_d = 0, len(rank) + 1
     while True:
-        bound = min(lower)
-        x = lower.index(bound)
-        if bound > best_d or (bound == best_d and x >= best):
-            return best
+        if anchors:
+            x = anchors.pop()
+            if lower[x] > best_d or (lower[x] == best_d and x >= best):
+                continue
+        else:
+            bound = min(lower)
+            x = lower.index(bound)
+            if bound > best_d or (bound == best_d and x >= best):
+                return best
         d = ulam_distance(rank, perms[x])
+        if 2 * d < separation:
+            return x
         if d < best_d or (d == best_d and x < best):
             best, best_d = x, d
         # elementwise max; a comprehension is faster here than map(max, ...)

@@ -191,7 +191,7 @@ def hand_built(q, perms):
     """A GroundSet made without certification, figures left empty."""
     return GroundSet(
         q=q, perms=perms, certified_max_lcs=0, worst_pair=None,
-        pair_lcs=(), by_first_symbol=(), gathers=(), gaps=(),
+        pair_lcs=(), by_first_symbol=(), by_last_symbol=(), gathers=(), gaps=(),
     )
 
 
@@ -253,10 +253,11 @@ class TestPairTable:
         assert ground.certified_max_lcs == max(
             (table[i][j] for i, j in itertools.combinations(range(ground.p), 2)), default=0
         )
-        assert len(ground.by_first_symbol) == ground.q
-        for s, cs in enumerate(ground.by_first_symbol):
-            assert list(cs) == sorted(cs) and all(ground.perms[c][0] == s for c in cs)
-        assert sorted(c for cs in ground.by_first_symbol for c in cs) == list(range(ground.p))
+        for index, end in ((ground.by_first_symbol, 0), (ground.by_last_symbol, -1)):
+            assert len(index) == ground.q
+            for s, cs in enumerate(index):
+                assert list(cs) == sorted(cs) and all(ground.perms[c][end] == s for c in cs)
+            assert sorted(c for cs in index for c in cs) == list(range(ground.p))
         q = ground.q
         assert ground.gaps == tuple(tuple(abs(q - d - l) for l in range(q + 1)) for d in range(q + 1))
 

@@ -40,3 +40,25 @@ def test_entry_keeps_the_integer_rule(entry):
             entry(bad)
     # a bool is the int it stands for
     assert entry(True) == entry(1)
+
+
+# each code factory with integer parameters that build; every parameter in
+# turn is given as a float, as in identity_code(2.0, 3), which used to
+# return float symbols or escape as a TypeError
+FACTORIES = {
+    "identity_code": (uc.identity_code, (2, 3)),
+    "repetition_code": (uc.repetition_code, (3, 2)),
+    "rs_code": (uc.rs_code, (16, 8, 3)),
+    "greedy_gv_code": (uc.greedy_gv_code, (2, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("factory, args", FACTORIES.values(), ids=FACTORIES.keys())
+def test_code_factory_reads_parameters_by_the_integer_rule(factory, args):
+    code = factory(*args)
+    for i, good in enumerate(args):
+        bad = float(good)
+        message = re.escape(f"parameter {bad!r} is not an integer")
+        with pytest.raises(uc.ParameterError, match=message):
+            factory(*args[:i], bad, *args[i + 1:])
+    assert all(type(s) is int for s in code.encode_index(1))

@@ -466,6 +466,17 @@ def rank_patterns(draw, grounds):
     return ground, _relocated(sigma, moves)
 
 
+@st.composite
+def end_moved_ranks(draw, grounds):
+    """A ground set and one of its permutations with 1-3 symbols moved to either end."""
+    ground = draw(st.sampled_from(grounds))
+    sigma = ground.perms[draw(st.integers(0, ground.p - 1))]
+    moves = draw(
+        st.lists(st.tuples(st.integers(0, 63), st.sampled_from((0, -1))), min_size=1, max_size=3)
+    )
+    return ground, _relocated(sigma, moves)
+
+
 def _check_against_full_scan(ground, rank, relabel_seed):
     # the full scan sees the group's symbols under an arbitrary labeling
     group_by_x = random.Random(relabel_seed).sample(range(10 * ground.q), ground.q)
@@ -511,6 +522,12 @@ class TestPrunedGuess:
     @given(rank_patterns(SHARED_FIRST_GROUNDS), st.integers(0, 2**32))
     @settings(max_examples=300)
     def test_matches_full_scan_on_shared_first_symbols(self, case, relabel_seed):
+        _check_against_full_scan(*case, relabel_seed)
+
+    @given(end_moved_ranks(XOR_GROUNDS + SHARED_FIRST_GROUNDS), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_matches_full_scan_after_end_moves(self, case, relabel_seed):
+        # the moved symbols land at rank[0] and rank[-1], where the anchors look
         _check_against_full_scan(*case, relabel_seed)
 
     @given(rank_patterns(XOR_GROUNDS + SHARED_FIRST_GROUNDS))
@@ -566,6 +583,29 @@ class TestPrunedGuess:
         calls.clear()
         assert [_best_symbol(rank, ground) for rank in ranks] == expected
         assert len(calls) <= scan_calls / 2
+
+    def test_anchors_find_end_moved_ranks_in_few_calls(self, monkeypatch):
+        # 1-3 symbols moved to either end: the candidate named by rank[-1]
+        # or rank[1] is usually the sent one, well inside the early-accept
+        # radius
+        ground = uc.xor_ground_set(32, uc.identity_code(2, 5))
+        rng = random.Random(16)
+        ranks = [
+            _relocated(
+                ground.perms[rng.randrange(ground.p)],
+                [(rng.randrange(32), rng.choice((0, -1))) for _ in range(rng.randint(1, 3))],
+            )
+            for _ in range(500)
+        ]
+        expected = [
+            min(range(ground.p), key=lambda c: (ulam_distance(rank, ground.perms[c]), c))
+            for rank in ranks
+        ]
+        calls = []
+        real = ulam_code.ulam_distance
+        monkeypatch.setattr(ulam_code, "ulam_distance", lambda a, b: calls.append(1) or real(a, b))
+        assert [_best_symbol(rank, ground) for rank in ranks] == expected
+        assert len(calls) <= 2.5 * len(ranks)
 
     def test_exact_match_needs_no_distance_call(self, q8_instance, monkeypatch):
         calls = []
