@@ -9,7 +9,6 @@ from ulamcodes import (
     brute_force_ground_set,
     greedy_gv_code,
     identity_code,
-    verify_ground_set,
     xor_ground_set,
 )
 
@@ -26,8 +25,11 @@ for sigma in ground.perms[:4]:
     print("  ", sigma)
 print("   ...")
 
-report = verify_ground_set(ground, 2 ** (4 - code.min_distance))
-print(f"exhaustive recertification: max {report.max_pairwise_lcs}, passed={report.passed}")
+# the constructor certified every pair; worst_pair is the first pair that
+# reaches the certified max
+i, j = ground.worst_pair
+print(f"certified max LCS {ground.certified_max_lcs} <= cap {2 ** (4 - code.min_distance)}, "
+      f"reached first by perms {i} and {j}")
 
 # using every binary word (distance 1) doubles p but doubles the LCS cap
 dense = xor_ground_set(q, identity_code(2, 4))

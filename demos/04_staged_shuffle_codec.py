@@ -13,10 +13,10 @@ LCS: total pairwise distance >= C.min_distance * (q - max_lcs).
 """
 from ulamcodes import (
     DecodeFailure,
+    GroundSet,
     apply_stage,
     decode,
     encode,
-    ground_set_from_perms,
     greedy_gv_code,
     identity,
     message_to_shufflers,
@@ -31,7 +31,7 @@ from ulamcodes.ulam_code import UlamCodeParams
 # --- the two-permutation swap picture, drawn stage by stage -----------------
 # With q=2 the ground set is {identity, swap} and each stage either swaps
 # or keeps each pair of positions differing in one binary digit.
-swaps = ground_set_from_perms(2, [(0, 1), (1, 0)])
+swaps = GroundSet(2, [(0, 1), (1, 0)])
 pi = identity(8)
 print("start       :", pi)
 for stage, w in enumerate([(1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1)], start=1):

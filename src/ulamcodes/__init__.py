@@ -29,10 +29,8 @@ from .errors import ParameterError
 from .ground_set import (
     GroundSet,
     brute_force_ground_set,
-    ground_set_from_perms,
     load_ground_set,
     save_ground_set,
-    verify_ground_set,
     xor_ground_set,
 )
 from .perm_core import (
@@ -72,7 +70,6 @@ __all__ = [
     "encode",
     "from_digits",
     "greedy_gv_code",
-    "ground_set_from_perms",
     "identity",
     "identity_code",
     "lcs_length",
@@ -91,7 +88,6 @@ __all__ = [
     "save_ground_set",
     "to_digits",
     "ulam_distance",
-    "verify_ground_set",
     "xor_ground_set",
 ]
 

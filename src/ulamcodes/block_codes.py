@@ -11,8 +11,8 @@ for explicit codeword lists it is the list position).
 codeword lies within ``decoding_radius`` of the input.
 
 Every symbol and message index a code takes is checked by the one
-integer rule of ``perm_core._check_ints``, and the factories read their
-parameters by it through ``_index_ints``; a bad one raises ParameterError.
+integer rule of ``perm_core._check_ints``, and every size parameter is
+read by it through ``_index_ints``; a bad one raises ParameterError.
 
 Available constructions: Reed-Solomon with Gao decoding, explicit
 codeword lists such as the greedy Gilbert-Varshamov codes with
@@ -233,6 +233,7 @@ class ExplicitCode(BlockCode):
     """
 
     def __init__(self, alphabet_size: int, words: Sequence[Sequence[int]], label: str = "explicit"):
+        (alphabet_size,) = _index_ints((alphabet_size,))
         if alphabet_size < 2:
             raise ParameterError(f"alphabet size must be >= 2, got {alphabet_size}")
         if not words:

@@ -11,17 +11,15 @@ permutations of [q] (lexicographically, or random samples under a seeded
 budget) keeping those whose LCS with every kept permutation stays within
 a bound.
 
-Certification is always exhaustive: the stored maximum pairwise LCS is
-recomputed over all pairs at construction time. The members are
-validated first; then each permutation's position table (its inverse) is
-built once, and each pair costs one LIS pass of the other permutation
-through it, the same kernel the pairwise audit uses. verify_ground_set
-validates the same way before it recounts. The full pairwise LCS
-table is kept too, with a (q+1) x (q+1) table of gaps |q - d - l|; the
-decoder's group guess reads its triangle-inequality bounds through the
-two. Each permutation also gets an operator.itemgetter, so a shuffle
-stage reorders a group with one C call. Every table is built at
-certification and none is written afterwards.
+GroundSet(q, perms) is the one way to make a set, and it certifies
+exhaustively, so no set exists uncertified. The members are validated
+first; then each permutation's position table (its inverse) is built
+once, and each pair costs one LIS pass of the other permutation through
+it, as in the pairwise audit. The pairwise LCS table is kept, with a
+(q+1) x (q+1) table of gaps |q - d - l|; the decoder's group guess reads
+its triangle-inequality bounds through the two. Each permutation also
+gets an operator.itemgetter, so a shuffle stage reorders a group with
+one C call. No table changes afterwards.
 """
 from __future__ import annotations
 
@@ -34,6 +32,7 @@ from typing import Iterable, Sequence
 from .block_codes import BlockCode
 from .errors import ParameterError
 from .perm_core import (
+    _index_ints,
     _lis_length,
     from_digits,
     inverse,
@@ -48,6 +47,15 @@ class GroundSet:
     """
     p distinct permutations of [q] plus their exact max pairwise LCS.
 
+    q and perms are the only arguments. The constructor validates and
+    certifies them and computes every other field, so no figure can be
+    passed in, and dataclasses.replace with new perms certifies again.
+
+    >>> GroundSet(4, [(0, 1, 2, 3), (0, 1, 3, 2)])
+    GroundSet(q=4, p=2, max_lcs=3)
+
+    certified_max_lcs is the largest LCS over distinct pairs (0 for
+    p < 2) and worst_pair the first pair (i, j), i < j, that reaches it.
     pair_lcs[i][j] is the LCS of perms[i] and perms[j] (q on the
     diagonal); by_first_symbol[s] (by_last_symbol[s]) lists, ascending,
     the indices of the permutations that start (end) with symbol s.
@@ -66,13 +74,32 @@ class GroundSet:
 
     q: int
     perms: tuple[tuple[int, ...], ...]
-    certified_max_lcs: int
-    worst_pair: tuple[int, int] | None
-    pair_lcs: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    by_first_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    by_last_symbol: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    gathers: tuple[itemgetter, ...] = field(compare=False, repr=False)
-    gaps: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    certified_max_lcs: int = field(init=False)
+    worst_pair: tuple[int, int] | None = field(init=False)
+    pair_lcs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    by_first_symbol: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    by_last_symbol: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    gathers: tuple[itemgetter, ...] = field(init=False, compare=False, repr=False)
+    gaps: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        (q,) = _index_ints((self.q,))
+        perms = tuple(map(tuple, self.perms))
+        _check_perms(q, perms)
+        pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
+        by_first, by_last = [[] for _ in range(q)], [[] for _ in range(q)]
+        for c, w in enumerate(perms if q else ()):
+            by_first[w[0]].append(c)
+            by_last[w[-1]].append(c)
+        for name, value in (
+            ("q", q), ("perms", perms), ("pair_lcs", pair_lcs),
+            ("certified_max_lcs", max_lcs), ("worst_pair", worst),
+            ("by_first_symbol", tuple(map(tuple, by_first))),
+            ("by_last_symbol", tuple(map(tuple, by_last))),
+            ("gathers", tuple(itemgetter(*w) for w in perms) if q >= 2 else ()),
+            ("gaps", tuple((*range(q - d, 0, -1), *range(d + 1)) for d in range(q + 1))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def p(self) -> int:
@@ -80,14 +107,6 @@ class GroundSet:
 
     def __repr__(self) -> str:
         return f"GroundSet(q={self.q}, p={self.p}, max_lcs={self.certified_max_lcs})"
-
-
-@dataclass(frozen=True)
-class GroundSetReport:
-    max_pairwise_lcs: int
-    worst_pair: tuple[int, int] | None
-    threshold: int
-    passed: bool
 
 
 def _check_perms(q: int, perms: Sequence[tuple[int, ...]]) -> None:
@@ -119,47 +138,21 @@ def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
     return tuple(map(tuple, table)), max_lcs, worst
 
 
-def _certify(q: int, perms: Sequence[tuple[int, ...]]) -> GroundSet:
-    _check_perms(q, perms)
-    pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
-    by_first, by_last = [[] for _ in range(q)], [[] for _ in range(q)]
-    for c, w in enumerate(perms if q else ()):
-        by_first[w[0]].append(c)
-        by_last[w[-1]].append(c)
-    return GroundSet(
-        q=q,
-        perms=tuple(perms),
-        certified_max_lcs=max_lcs,
-        worst_pair=worst,
-        pair_lcs=pair_lcs,
-        by_first_symbol=tuple(map(tuple, by_first)),
-        by_last_symbol=tuple(map(tuple, by_last)),
-        gathers=tuple(itemgetter(*w) for w in perms) if q >= 2 else (),
-        gaps=tuple((*range(q - d, 0, -1), *range(d + 1)) for d in range(q + 1)),
-    )
-
-
-def ground_set_from_perms(q: int, perms: Iterable[Sequence[int]]) -> GroundSet:
-    """Certify an explicitly given family of permutations of [q]."""
-    return _certify(q, [tuple(w) for w in perms])
-
-
 def xor_ground_set(q: int, code: BlockCode) -> GroundSet:
     """
     Build {sigma_g : g in code} with sigma_g[i] = i XOR value(g), for q a
     power of two and a binary code of block length log2(q).
     """
+    (q,) = _index_ints((q,))
     r = q.bit_length() - 1
     if q < 2 or q != 1 << r:
         raise ParameterError(f"q must be a power of two, got {q}")
     if code.alphabet_size != 2:
         raise ParameterError("XOR construction needs a binary code")
     if code.block_length != r:
-        raise ParameterError(
-            f"code length {code.block_length} != log2(q) = {r}"
-        )
+        raise ParameterError(f"code length {code.block_length} != log2(q) = {r}")
     values = [from_digits(g, 2) for g in code.codewords()]
-    return _certify(q, [tuple(i ^ x for i in range(q)) for x in values])
+    return GroundSet(q, [tuple(i ^ x for i in range(q)) for x in values])
 
 
 def brute_force_ground_set(
@@ -179,6 +172,9 @@ def brute_force_ground_set(
     keeps everything the greedy scan admits. Raises ParameterError if the
     budget ends before target_p is reached.
     """
+    q, max_lcs, sample_budget = _index_ints((q, max_lcs, sample_budget))
+    if target_p is not None:
+        (target_p,) = _index_ints((target_p,))
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
     if max_lcs < 0:
@@ -220,23 +216,7 @@ def brute_force_ground_set(
             f"search exhausted with {len(chosen)} permutations, target was {target_p} "
             f"(q={q}, max_lcs={max_lcs})"
         )
-    return _certify(q, chosen)
-
-
-def verify_ground_set(ground: GroundSet, threshold: int) -> GroundSetReport:
-    """
-    Exhaustively recompute the max pairwise LCS and compare with threshold.
-    The members are validated first, so a hand-built set with a malformed
-    member raises ValueError instead of reporting a figure.
-    """
-    _check_perms(ground.q, ground.perms)
-    _, max_lcs, worst = _pairwise_lcs(ground.perms)
-    return GroundSetReport(
-        max_pairwise_lcs=max_lcs,
-        worst_pair=worst,
-        threshold=threshold,
-        passed=max_lcs <= threshold,
-    )
+    return GroundSet(q, chosen)
 
 
 # ------------------------------------------------------------ text interface
@@ -253,9 +233,7 @@ def load_ground_set(path: str) -> GroundSet:
     (q, p, claimed), perms = rows[0], rows[1:]
     if len(perms) != p:
         raise ValueError(f"ground-set body of {path!r} disagrees with header")
-    ground = _certify(q, perms)
+    ground = GroundSet(q, perms)
     if ground.certified_max_lcs != claimed:
-        raise ValueError(
-            f"stored max LCS {claimed} != recomputed {ground.certified_max_lcs} in {path!r}"
-        )
+        raise ValueError(f"stored max LCS {claimed} != certified {ground.certified_max_lcs} in {path!r}")
     return ground

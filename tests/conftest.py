@@ -6,7 +6,7 @@ import ulamcodes as uc
 @pytest.fixture(scope="session")
 def swap_instance():
     """Binary special case: q=p=2, three stages of pair swaps on [8]."""
-    ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
+    ground = uc.GroundSet(2, [(0, 1), (1, 0)])
     code = uc.greedy_gv_code(2, 4, 2)  # size 8, exact distance 2
     return uc.UlamCodeParams(q=2, ell=3, ground=ground, code=code)
 

@@ -43,7 +43,7 @@ def build_ground(spec):
         return uc.xor_ground_set(q, uc.greedy_gv_code(2, q.bit_length() - 1, arg))
     if kind == "bruteforce":
         return uc.brute_force_ground_set(q, None, arg)
-    return uc.ground_set_from_perms(q, arg)
+    return uc.GroundSet(q, arg)
 
 
 @cache

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -9,13 +10,12 @@ from ulamcodes.errors import ParameterError
 from ulamcodes.ground_set import (
     GroundSet,
     brute_force_ground_set,
-    ground_set_from_perms,
     load_ground_set,
     save_ground_set,
-    verify_ground_set,
     xor_ground_set,
 )
 from ulamcodes.perm_core import lcs_length, lcs_length_dp, to_digits
+from ulamcodes.ulam_code import UlamCodeParams
 
 
 class TestXorConstruction:
@@ -165,34 +165,50 @@ class TestCertification:
             assert ground.certified_max_lcs == recomputed
 
     def test_verify_pass_and_fail(self):
+        # the figures the constructor certifies, for a set within a cap of
+        # 1, a set with no pairs, and a close pair above a cap of 2
         ground = xor_ground_set(4, greedy_gv_code(2, 2, 2))
-        report = verify_ground_set(ground, 1)
-        assert report.passed and report.max_pairwise_lcs == 1
+        assert ground.certified_max_lcs == 1 and ground.worst_pair == (0, 1)
 
-        single = ground_set_from_perms(4, [(0, 1, 2, 3)])
-        assert verify_ground_set(single, 0).passed  # no pairs at all
+        single = GroundSet(4, [(0, 1, 2, 3)])  # no pairs at all
+        assert single.certified_max_lcs == 0 and single.worst_pair is None
 
-        close = ground_set_from_perms(4, [(0, 1, 2, 3), (0, 1, 3, 2)])
-        report = verify_ground_set(close, 2)
-        assert not report.passed
-        assert report.max_pairwise_lcs == 3
-        assert report.worst_pair == (0, 1)
+        close = GroundSet(4, [(0, 1, 2, 3), (0, 1, 3, 2)])
+        assert close.certified_max_lcs == 3
+        assert close.worst_pair == (0, 1)
+
+    def test_certified_figures_cannot_be_passed_in(self):
+        ground = xor_ground_set(8, greedy_gv_code(2, 3, 2))
+        params = UlamCodeParams(q=8, ell=2, ground=ground, code=greedy_gv_code(4, 8, 5))
+        assert ground.certified_max_lcs == 2 and params.distance_bound == 5 * (8 - 2)
+        # a smaller figure would let UlamCodeParams overstate distance_bound
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(ground, certified_max_lcs=0)
+        with pytest.raises(TypeError):
+            GroundSet(q=8, perms=ground.perms, certified_max_lcs=0)
+        derived = ("worst_pair", "pair_lcs", "by_first_symbol", "by_last_symbol", "gathers", "gaps")
+        for name in derived:
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(ground, **{name: getattr(ground, name)})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ground.certified_max_lcs = 0
+
+    def test_replace_with_new_perms_certifies_again(self):
+        ground = xor_ground_set(4, greedy_gv_code(2, 2, 2))
+        close = dataclasses.replace(ground, perms=[[0, 1, 2, 3], [0, 1, 3, 2]])
+        assert close == GroundSet(4, [(0, 1, 2, 3), (0, 1, 3, 2)])
+        assert close.perms == ((0, 1, 2, 3), (0, 1, 3, 2))
+        assert close.certified_max_lcs == 3 and close.pair_lcs == ((4, 3), (3, 4))
+        with pytest.raises(ValueError, match="ground permutation"):
+            dataclasses.replace(ground, perms=[(0, 1, 2, 3), (0, 1, 1, 3)])
 
     def test_rejects_malformed_members(self):
         with pytest.raises(ParameterError):
-            ground_set_from_perms(3, [(0, 1, 2), (0, 1, 2)])
+            GroundSet(3, [(0, 1, 2), (0, 1, 2)])
         with pytest.raises(ParameterError):
-            ground_set_from_perms(3, [(0, 1)])
+            GroundSet(3, [(0, 1)])
         with pytest.raises(ValueError):
-            ground_set_from_perms(3, [(0, 1, 1)])
-
-
-def hand_built(q, perms):
-    """A GroundSet made without certification, figures left empty."""
-    return GroundSet(
-        q=q, perms=perms, certified_max_lcs=0, worst_pair=None,
-        pair_lcs=(), by_first_symbol=(), by_last_symbol=(), gathers=(), gaps=(),
-    )
+            GroundSet(3, [(0, 1, 1)])
 
 
 class TestCertificationOracle:
@@ -200,10 +216,14 @@ class TestCertificationOracle:
 
     @staticmethod
     def check_against_dp(ground):
-        for i, j in itertools.combinations(range(ground.p), 2):
-            expected = lcs_length_dp(ground.perms[i], ground.perms[j])
+        pairs = list(itertools.combinations(range(ground.p), 2))
+        dp = {(i, j): lcs_length_dp(ground.perms[i], ground.perms[j]) for i, j in pairs}
+        for (i, j), expected in dp.items():
             assert ground.pair_lcs[i][j] == ground.pair_lcs[j][i] == expected
-        assert verify_ground_set(ground, ground.q).max_pairwise_lcs == ground.certified_max_lcs
+        best = max(dp.values())
+        assert ground.certified_max_lcs == best
+        # the first pair, in (i, j) order, that reaches the max
+        assert ground.worst_pair == next(ij for ij in pairs if dp[ij] == best)
 
     def test_xor_set(self):
         self.check_against_dp(xor_ground_set(16, identity_code(2, 4)))
@@ -228,10 +248,11 @@ class TestCertificationOracle:
         ],
     )
     def test_verify_rejects_hand_built_malformed_set(self, perms):
+        # the constructor verifies a hand-built family before certifying it:
         # a named ValueError, never an IndexError from the position table
-        # and never a report
+        # and never a certified set
         with pytest.raises(ValueError, match="ground permutation"):
-            verify_ground_set(hand_built(4, perms), 4)
+            GroundSet(4, perms)
 
 
 class TestPairTable:
@@ -241,7 +262,7 @@ class TestPairTable:
             xor_ground_set(8, identity_code(2, 3)),
             xor_ground_set(16, greedy_gv_code(2, 4, 2)),
             brute_force_ground_set(5, None, 3),
-            ground_set_from_perms(4, [(3, 1, 0, 2), (0, 1, 2, 3), (3, 0, 2, 1)]),
+            GroundSet(4, [(3, 1, 0, 2), (0, 1, 2, 3), (3, 0, 2, 1)]),
         ],
     )
     def test_pair_lcs_and_first_symbol_index(self, ground):

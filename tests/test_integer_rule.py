@@ -62,3 +62,30 @@ def test_code_factory_reads_parameters_by_the_integer_rule(factory, args):
         with pytest.raises(uc.ParameterError, match=message):
             factory(*args[:i], bad, *args[i + 1:])
     assert all(type(s) is int for s in code.encode_index(1))
+
+
+# the ground-set constructors and ExplicitCode read their integer
+# parameters by the same rule; as with FACTORIES, each is given in turn as
+# a float, which used to escape as AttributeError or TypeError or build a
+# set or code holding the float
+CONSTRUCTORS = {
+    "GroundSet": (uc.GroundSet, dict(q=2, perms=[(0, 1), (1, 0)])),
+    "xor_ground_set": (uc.xor_ground_set, dict(q=8, code=uc.identity_code(2, 3))),
+    "brute_force_ground_set": (uc.brute_force_ground_set, dict(q=4, target_p=2, max_lcs=2)),
+    "brute_force_ground_set sampled": (
+        uc.brute_force_ground_set, dict(q=4, target_p=2, max_lcs=2, seed=1, sample_budget=50)
+    ),
+    "ExplicitCode": (ExplicitCode, dict(alphabet_size=2, words=[(0, 1), (1, 0)])),
+}
+
+
+@pytest.mark.parametrize("constructor, kwargs", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_constructor_reads_parameters_by_the_integer_rule(constructor, kwargs):
+    constructor(**kwargs)
+    for name, good in kwargs.items():
+        if type(good) is not int or name == "seed":
+            continue
+        for bad in (float(good), good + 0.5):
+            message = re.escape(f"parameter {bad!r} is not an integer")
+            with pytest.raises(uc.ParameterError, match=message):
+                constructor(**{**kwargs, name: bad})

@@ -80,7 +80,7 @@ TERNARY_PERMS = ((0, 1, 2), (2, 1, 0), (1, 0, 2), (1, 2, 0))
 
 class TestWorkedExamples:
     def test_three_stage_binary_shuffle(self):
-        ground = uc.ground_set_from_perms(2, BINARY_SWAPS)
+        ground = uc.GroundSet(2, BINARY_SWAPS)
         shufflers = ((1, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 1))
         s1 = uc.apply_stage(identity(8), 1, shufflers[0], ground)
         assert s1 == (4, 1, 2, 7, 0, 5, 6, 3)
@@ -93,7 +93,7 @@ class TestWorkedExamples:
         assert reference_encode(shufflers, 2, BINARY_SWAPS) == (2, 7, 4, 1, 6, 5, 3, 0)
 
     def test_two_stage_ternary_shuffle(self):
-        ground = uc.ground_set_from_perms(3, TERNARY_PERMS)
+        ground = uc.GroundSet(3, TERNARY_PERMS)
         s1 = uc.apply_stage(identity(9), 1, (3, 0, 1), ground)
         assert s1 == (3, 1, 8, 6, 4, 5, 0, 7, 2)
         out = uc.run_stages(((3, 0, 1), (2, 2, 3)), ground)
@@ -101,13 +101,13 @@ class TestWorkedExamples:
         assert reference_encode(((3, 0, 1), (2, 2, 3)), 3, TERNARY_PERMS) == out
 
     def test_identity_shuffler_is_noop(self):
-        ground = uc.ground_set_from_perms(3, TERNARY_PERMS)  # perms[0] is identity
+        ground = uc.GroundSet(3, TERNARY_PERMS)  # perms[0] is identity
         pi = uc.run_stages(((0, 0, 0), (0, 0, 0)), ground)
         assert pi == identity(9)
 
     def test_matches_reference_on_random_inputs(self):
         rng = random.Random(5)
-        ground = uc.ground_set_from_perms(3, TERNARY_PERMS)
+        ground = uc.GroundSet(3, TERNARY_PERMS)
         for _ in range(50):
             shufflers = tuple(
                 tuple(rng.randrange(4) for _ in range(3)) for _ in range(2)
@@ -131,7 +131,7 @@ class TestStageProperties:
     def test_locality_other_digits_fixed(self):
         rng = random.Random(10)
         q, ell = 3, 3
-        ground = uc.ground_set_from_perms(3, TERNARY_PERMS)
+        ground = uc.GroundSet(3, TERNARY_PERMS)
         for _ in range(60):
             pi = tuple(rng.sample(range(27), 27))
             stage = rng.randrange(1, ell + 1)
@@ -146,7 +146,7 @@ class TestStageProperties:
                         assert md[d] == sd[d]
 
     def test_dimension_checks(self):
-        ground = uc.ground_set_from_perms(2, BINARY_SWAPS)
+        ground = uc.GroundSet(2, BINARY_SWAPS)
         with pytest.raises(ParameterError):
             uc.apply_stage(identity(8), 4, (0, 0, 0, 0), ground)
         with pytest.raises(ParameterError):
@@ -160,7 +160,7 @@ class TestStageProperties:
             uc.apply_stage(identity(8), 1, (0, -1, 0, 0), ground)
         # over [1] the length walk would never reach n
         with pytest.raises(ParameterError):
-            uc.apply_stage((0, 1), 1, (0, 0), uc.ground_set_from_perms(1, [(0,)]))
+            uc.apply_stage((0, 1), 1, (0, 0), uc.GroundSet(1, [(0,)]))
 
 
 def _shuffled_subset(perms, size, seed):
@@ -169,7 +169,7 @@ def _shuffled_subset(perms, size, seed):
 
 
 def _sampled_ground(q, size, seed):
-    return uc.ground_set_from_perms(
+    return uc.GroundSet(
         q, _shuffled_subset(itertools.permutations(range(q)), size, seed)
     )
 
@@ -177,8 +177,8 @@ def _sampled_ground(q, size, seed):
 # per q: XOR sets where q is a power of two, and explicit sets that are not
 # XOR sets (for q = 2 every set is one)
 STAGE_GROUNDS = {
-    2: [uc.xor_ground_set(2, uc.identity_code(2, 1)), uc.ground_set_from_perms(2, [(1, 0)])],
-    3: [uc.ground_set_from_perms(3, TERNARY_PERMS), _sampled_ground(3, 5, 1)],
+    2: [uc.xor_ground_set(2, uc.identity_code(2, 1)), uc.GroundSet(2, [(1, 0)])],
+    3: [uc.GroundSet(3, TERNARY_PERMS), _sampled_ground(3, 5, 1)],
     4: [uc.xor_ground_set(4, uc.identity_code(2, 2)), _sampled_ground(4, 7, 2)],
     5: [_sampled_ground(5, 9, 3), uc.brute_force_ground_set(5, None, 3)],
     8: [uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)), _sampled_ground(8, 11, 4)],
@@ -383,7 +383,7 @@ class TestGuessSymbol:
     def test_tie_breaks_to_smallest_index(self):
         # received (1,0,3,2) sits at Ulam distance 1 from the first two
         # candidates and 2 from the identity: the tie goes to index 0
-        ground4 = uc.ground_set_from_perms(
+        ground4 = uc.GroundSet(
             4, [(1, 0, 2, 3), (0, 1, 3, 2), (0, 1, 2, 3)]
         )
         received = (1, 0, 3, 2)
@@ -418,7 +418,7 @@ def _equidistant_ground(q, lcs, seed):
     for word in _shuffled_subset(itertools.permutations(range(q)), math.factorial(q), seed):
         if all(lcs_length(word, other) == lcs for other in kept):
             kept.append(word)
-    return uc.ground_set_from_perms(q, kept)
+    return uc.GroundSet(q, kept)
 
 
 # XOR sets hold at most one permutation per first symbol; the brute-force
@@ -433,7 +433,7 @@ XOR_GROUNDS = [
     uc.xor_ground_set(16, uc.greedy_gv_code(2, 4, 2)),
     uc.xor_ground_set(32, uc.identity_code(2, 5)),
     uc.xor_ground_set(32, uc.greedy_gv_code(2, 5, 2)),
-    uc.ground_set_from_perms(
+    uc.GroundSet(
         32, _shuffled_subset(uc.xor_ground_set(32, uc.identity_code(2, 5)).perms, 20, 6)
     ),
 ]
@@ -441,8 +441,8 @@ SHARED_FIRST_GROUNDS = [
     uc.brute_force_ground_set(5, None, 3),
     uc.brute_force_ground_set(6, 12, 3, seed=5),
     uc.brute_force_ground_set(7, None, 4, seed=5, sample_budget=3000),
-    uc.ground_set_from_perms(5, _shuffled_subset(itertools.permutations(range(5)), 40, 3)),
-    uc.ground_set_from_perms(8, _shuffled_subset(itertools.permutations(range(8)), 60, 4)),
+    uc.GroundSet(5, _shuffled_subset(itertools.permutations(range(5)), 40, 3)),
+    uc.GroundSet(8, _shuffled_subset(itertools.permutations(range(8)), 60, 4)),
     uc.brute_force_ground_set(64, 64, 16, seed=1, sample_budget=20000),
     _equidistant_ground(5, 3, 0),
 ]
@@ -550,7 +550,7 @@ class TestPrunedGuess:
         # Seeds 6-8 take equidistant subsets.
         q = 4 + seed % 2
         if seed < 6:
-            ground = uc.ground_set_from_perms(
+            ground = uc.GroundSet(
                 q, _shuffled_subset(itertools.permutations(range(q)), 6 + seed, seed)
             )
         else:
@@ -736,13 +736,13 @@ class TestParamsAndBounds:
 
     def test_bounds_degenerate_ground(self):
         # max_lcs = q - 1 forces the distance lower bound toward zero
-        ground = uc.ground_set_from_perms(3, [(0, 1, 2), (0, 2, 1)])  # LCS 2
+        ground = uc.GroundSet(3, [(0, 1, 2), (0, 2, 1)])  # LCS 2
         code = uc.greedy_gv_code(2, 3, 1)
         params = uc.UlamCodeParams(q=3, ell=2, ground=ground, code=code)
         assert params.distance_bound == Fraction(1, 3) * 9 * Fraction(1, 3)
 
     def test_single_stage_degenerate(self):
-        ground = uc.ground_set_from_perms(2, BINARY_SWAPS)
+        ground = uc.GroundSet(2, BINARY_SWAPS)
         code = uc.identity_code(2, 1)
         params = uc.UlamCodeParams(q=2, ell=1, ground=ground, code=code)
         assert params.n == 2

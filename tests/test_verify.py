@@ -42,7 +42,7 @@ class TestAuditPairwise:
         assert report.min_distance >= report.dist_lower == swap_instance.distance_bound
 
     def test_single_message_vacuous(self):
-        ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
+        ground = uc.GroundSet(2, [(0, 1), (1, 0)])
         code = ExplicitCode(2, [(0, 0)])  # one shuffler string
         params = uc.UlamCodeParams(q=2, ell=2, ground=ground, code=code)
         assert params.message_count == 1
@@ -103,7 +103,7 @@ class TestAuditPairwise:
             audit_pairwise(swap_instance, sample_pairs=0, seed=1)
 
     def test_injectivity_failure_reported(self):
-        ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
+        ground = uc.GroundSet(2, [(0, 1), (1, 0)])
         params = uc.UlamCodeParams(q=2, ell=3, ground=ground, code=DuplicatingCode())
         report = audit_pairwise(params)
         assert not report.injective
@@ -222,7 +222,7 @@ class TestRateReport:
         assert eps * r_c / q == pytest.approx(report.rate_lower, rel=1e-12)
 
     def test_single_stage_rate(self):
-        ground = uc.ground_set_from_perms(2, [(0, 1), (1, 0)])
+        ground = uc.GroundSet(2, [(0, 1), (1, 0)])
         code = uc.identity_code(2, 1)
         params = uc.UlamCodeParams(q=2, ell=1, ground=ground, code=code)
         report = rate_report(params)
