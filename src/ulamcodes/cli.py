@@ -3,8 +3,10 @@ Command-line front end.
 
 Subcommands: gen-ground-set, build, encode, decode, distance, corrupt,
 audit, sweep. Instances are described by --q/--ell plus a ground-set
-descriptor and a block-code descriptor, or by a flat key=value config
-file (flags override the file).
+descriptor and a block-code descriptor. A flat key=value config file
+(--config) fills the instance flags that were not given, so flags
+override the file. build prints one set of derived parameters: key=value
+lines, or JSON with the same keys under --json.
 
 Ground-set descriptors:
     xor:gv:<d>        XOR construction from a greedy-GV binary code of
@@ -30,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import block_codes, channel, ground_set, perm_core, ulam_code, verify
 from .block_codes import BlockCode, DecodeFailure
@@ -38,35 +39,13 @@ from .errors import ParameterError
 from .ground_set import GroundSet
 
 
-@dataclass
-class InstanceConfig:
-    q: int | None = None
-    ell: int | None = None
-    ground: str | None = None
-    code: str | None = None
-
-    def resolve(self) -> ulam_code.UlamCodeParams:
-        if self.q is None or self.ell is None:
-            raise ParameterError("instance needs q and ell (flags or config file)")
-        if self.ell < 1:
-            raise ParameterError(f"ell must be >= 1, got {self.ell}")
-        ground = self.resolve_ground()
-        if self.code is None:
-            raise ParameterError("instance needs a block-code descriptor")
-        # UlamCodeParams refuses a code whose alphabet or length does not fit
-        code = _parse_code(self.code)
-        return ulam_code.UlamCodeParams(q=self.q, ell=self.ell, ground=ground, code=code)
-
-    def resolve_ground(self) -> GroundSet:
-        if self.q is None:
-            raise ParameterError("ground-set construction needs q")
-        if self.ground is None:
-            raise ParameterError("instance needs a ground-set descriptor")
-        return resolve_ground_set(self.ground, self.q)
+# config-file key -> flag destination
+_CONFIG_KEYS = {"q": "q", "ell": "ell", "ground_set": "ground", "code": "code"}
 
 
-def load_config_file(path: str) -> InstanceConfig:
-    cfg = InstanceConfig()
+def load_config_file(path: str) -> dict[str, int | str]:
+    """The file's instance values, keyed by flag destination (q, ell, ground, code)."""
+    cfg = {}
     # surrogateescape keeps a non-ASCII byte inside its line, to be named there
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -79,17 +58,11 @@ def load_config_file(path: str) -> InstanceConfig:
             if "=" not in line:
                 raise ParameterError(f"{where}: config line is not key=value: {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key in ("q", "ell"):
-                try:
-                    setattr(cfg, key, int(value))
-                except ValueError:
-                    raise ParameterError(f"{where}: {key} must be an integer, got {value!r}") from None
-            elif key == "ground_set":
-                cfg.ground = value
-            elif key == "code":
-                cfg.code = value
-            else:
+            if key not in _CONFIG_KEYS:
                 raise ParameterError(f"{where}: unknown config key {key!r}")
+            if key in ("q", "ell"):
+                value = _parse_flag(f"{where}: {key}", value, int, "an integer")
+            cfg[_CONFIG_KEYS[key]] = value
     return cfg
 
 
@@ -166,7 +139,7 @@ def parse_shufflers(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _parse_flag(flag: str, text: str, parse, shape: str):
-    """parse(text), or a ParameterError naming the flag, its expected shape and the text."""
+    """parse(text), or a ParameterError naming the flag (or config key), its shape and the text."""
     try:
         return parse(text)
     except ValueError:
@@ -181,17 +154,24 @@ def _instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--code", help="block-code descriptor")
 
 
-def _config_from_args(args) -> InstanceConfig:
-    cfg = load_config_file(args.config) if args.config else InstanceConfig()
-    if args.q is not None:
-        cfg.q = args.q
-    if args.ell is not None:
-        cfg.ell = args.ell
-    if args.ground is not None:
-        cfg.ground = args.ground
-    if args.code is not None:
-        cfg.code = args.code
-    return cfg
+def _ground(args) -> GroundSet:
+    if args.q is None:
+        raise ParameterError("ground-set construction needs q")
+    if args.ground is None:
+        raise ParameterError("instance needs a ground-set descriptor")
+    return resolve_ground_set(args.ground, args.q)
+
+
+def _params(args) -> ulam_code.UlamCodeParams:
+    if args.q is None or args.ell is None:
+        raise ParameterError("instance needs q and ell (flags or config file)")
+    if args.ell < 1:
+        raise ParameterError(f"ell must be >= 1, got {args.ell}")
+    ground = _ground(args)
+    if args.code is None:
+        raise ParameterError("instance needs a block-code descriptor")
+    # UlamCodeParams refuses a code whose alphabet or length does not fit
+    return ulam_code.UlamCodeParams(args.q, args.ell, ground, _parse_code(args.code))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_ground_set(args) -> int:
-    ground = resolve_ground_set(args.ground, args.q)
+    ground = _ground(args)
     ground_set.save_ground_set(args.out, ground)
     print(f"q={ground.q} p={ground.p} certified_max_lcs={ground.certified_max_lcs}")
     print(f"written to {args.out}")
@@ -259,41 +239,34 @@ def _cmd_gen_ground_set(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    params = _config_from_args(args).resolve()
+    params = _params(args)
     rates = verify.rate_report(params)
+    payload = {
+        "q": params.q,
+        "ell": params.ell,
+        "n": params.n,
+        "p": params.p,
+        "code": repr(params.code),
+        "code_size": params.code.size,
+        "code_min_distance": params.code.min_distance,
+        "code_decoding_radius": params.code.decoding_radius,
+        "ground_max_lcs": params.ground.certified_max_lcs,
+        "message_count": str(params.message_count),
+        "distance_bound": params.distance_bound,
+        "decode_guarantee": str(params.decode_guarantee),
+        "lcs_upper": str(params.n - params.distance_bound),
+        "dist_lower": str(params.distance_bound),
+        "rate": rates.rate,
+        "rate_lower": rates.rate_lower,
+    }
     if args.json:
-        payload = {
-            "q": params.q,
-            "ell": params.ell,
-            "n": params.n,
-            "p": params.p,
-            "code_size": params.code.size,
-            "code_min_distance": params.code.min_distance,
-            "code_decoding_radius": params.code.decoding_radius,
-            "ground_max_lcs": params.ground.certified_max_lcs,
-            "message_count": str(params.message_count),
-            "distance_bound": params.distance_bound,
-            "decode_guarantee": str(params.decode_guarantee),
-            "lcs_upper": str(params.n - params.distance_bound),
-            "dist_lower": str(params.distance_bound),
-            "rate_lower": rates.rate_lower,
-            "rate": rates.rate,
-        }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"q={params.q} ell={params.ell} n={params.n} p={params.p}")
-    print(f"code={params.code!r}")
-    print(f"ground_max_lcs={params.ground.certified_max_lcs}")
-    print(f"message_count={params.message_count}")
-    print(f"distance_bound={params.distance_bound}")
-    print(f"decode_guarantee={params.decode_guarantee}")
-    print(f"lcs_upper={params.n - params.distance_bound} dist_lower={params.distance_bound}")
-    print(f"rate={rates.rate:.9f} rate_lower={rates.rate_lower:.9f}")
+    else:
+        print("\n".join(f"{key}={value}" for key, value in payload.items()))
     return 0
 
 
 def _cmd_encode(args) -> int:
-    cfg = _config_from_args(args)
     if (args.msg is None) == (args.raw_shufflers is None):
         raise ParameterError("encode needs exactly one of --msg or --raw-shufflers")
     if args.raw_shufflers is not None:
@@ -301,17 +274,16 @@ def _cmd_encode(args) -> int:
             "--raw-shufflers", args.raw_shufflers, parse_shufflers,
             "integers separated by spaces, commas and ';'",
         )
-        if cfg.ell is not None and cfg.ell != len(shufflers):
-            raise ParameterError(f"ell={cfg.ell} but --raw-shufflers has {len(shufflers)} stages")
+        if args.ell is not None and args.ell != len(shufflers):
+            raise ParameterError(f"ell={args.ell} but --raw-shufflers has {len(shufflers)} stages")
         # a given code is checked as for --msg; the strings need not be its codewords
-        cfg.ell = len(shufflers)
-        ground = cfg.resolve_ground() if cfg.code is None else cfg.resolve().ground
+        args.ell = len(shufflers)
+        ground = _ground(args) if args.code is None else _params(args).ground
         word = ulam_code.run_stages(shufflers, ground)
     else:
-        params = cfg.resolve()
+        params = _params(args)
         word = ulam_code.encode(_parse_flag("--msg", args.msg, int, "an integer"), params)
-    line = perm_core.format_permutation(word)
-    print(line)
+    print(perm_core.format_permutation(word))
     if args.out:
         perm_core.write_int_rows(args.out, [word])
     return 0
@@ -325,7 +297,7 @@ def _first_permutation(path: str) -> tuple[int, ...]:
 
 
 def _cmd_decode(args) -> int:
-    params = _config_from_args(args).resolve()
+    params = _params(args)
     word = _first_permutation(args.perm)
     result = ulam_code.decode(word, params)
     if isinstance(result, DecodeFailure):
@@ -356,7 +328,7 @@ def _cmd_corrupt(args) -> int:
 def _cmd_audit(args) -> int:
     if args.sample is not None and args.sample < 1:
         raise ParameterError(f"--sample must be >= 1, got {args.sample}")
-    params = _config_from_args(args).resolve()
+    params = _params(args)
     report = verify.audit_pairwise(params, sample_pairs=args.sample, seed=args.seed)
     # timings stay out of CLI output so identical inputs print identical bytes
     print(verify.report_json(report, timings=False) if args.json else report.as_text(timings=False))
@@ -366,7 +338,7 @@ def _cmd_audit(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.trials < 1:
         raise ParameterError(f"--trials must be >= 1, got {args.trials}")
-    params = _config_from_args(args).resolve()
+    params = _params(args)
     t_values = _parse_flag(
         "--t-list", args.t_list,
         lambda text: [int(tok) for tok in text.split(",") if tok.strip()],
@@ -393,6 +365,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            for dest, value in load_config_file(args.config).items():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, value)
         return _COMMANDS[args.command](args)
     except (ParameterError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,8 @@ first monic irreducible of degree m, making every field reproducible from
 its order alone.
 
 In characteristic 2 the packing makes addition and subtraction a bitwise
-XOR and negation the identity; odd characteristics add digit by digit.
+XOR; odd characteristics add digit by digit. Negation is multiplication
+by -1, the constant p - 1 (1 in characteristic 2).
 Multiplication and inversion read exp/log tables of the smallest
 primitive element g: exp[i] = g^i and log[a] is the exponent of a.
 Walking the powers of the candidates 1, 2, ... until one reaches all
@@ -110,17 +111,8 @@ class Field:
         return out
 
     def neg(self, a: int) -> int:
-        if self.characteristic == 2:
-            return a
-        if self.degree == 1:
-            return (-a) % self.order
-        p = self.characteristic
-        out, shift = 0, 1
-        while a:
-            out += (-a % p) * shift
-            a //= p
-            shift *= p
-        return out
+        # -1 is the constant p - 1 in GF(p^m), which is 1 in characteristic 2
+        return self.mul(self.characteristic - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         if self.characteristic == 2:

@@ -45,7 +45,7 @@ from .perm_core import (
 @dataclass(frozen=True)
 class GroundSet:
     """
-    p distinct permutations of [q] plus their exact max pairwise LCS.
+    p distinct permutations of [q], q >= 2, plus their exact max pairwise LCS.
 
     q and perms are the only arguments. The constructor validates and
     certifies them and computes every other field, so no figure can be
@@ -60,8 +60,7 @@ class GroundSet:
     diagonal); by_first_symbol[s] (by_last_symbol[s]) lists, ascending,
     the indices of the permutations that start (end) with symbol s.
     gathers[c] is itemgetter(*perms[c]): given a group's q contents g it
-    returns (g[perms[c][0]], ..., g[perms[c][q-1]]). It is empty for
-    q < 2, where an itemgetter would not return a tuple.
+    returns (g[perms[c][0]], ..., g[perms[c][q-1]]).
 
     gaps[d][l] = |q - d - l| for d, l in 0..q. Once some rank pattern r
     is known to lie at Ulam distance d from perms[c], the triangle
@@ -84,11 +83,16 @@ class GroundSet:
 
     def __post_init__(self) -> None:
         (q,) = _index_ints((self.q,))
-        perms = tuple(map(tuple, self.perms))
+        if q < 2:
+            raise ParameterError(f"q must be >= 2, got {q}")
+        try:
+            perms = tuple(map(tuple, self.perms))
+        except TypeError:
+            raise ParameterError(f"perms is not an iterable of words: {self.perms!r}") from None
         _check_perms(q, perms)
         pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
         by_first, by_last = [[] for _ in range(q)], [[] for _ in range(q)]
-        for c, w in enumerate(perms if q else ()):
+        for c, w in enumerate(perms):
             by_first[w[0]].append(c)
             by_last[w[-1]].append(c)
         for name, value in (
@@ -96,7 +100,7 @@ class GroundSet:
             ("certified_max_lcs", max_lcs), ("worst_pair", worst),
             ("by_first_symbol", tuple(map(tuple, by_first))),
             ("by_last_symbol", tuple(map(tuple, by_last))),
-            ("gathers", tuple(itemgetter(*w) for w in perms) if q >= 2 else ()),
+            ("gathers", tuple(itemgetter(*w) for w in perms)),
             ("gaps", tuple((*range(q - d, 0, -1), *range(d + 1)) for d in range(q + 1))),
         ):
             object.__setattr__(self, name, value)
@@ -175,8 +179,8 @@ def brute_force_ground_set(
     q, max_lcs, sample_budget = _index_ints((q, max_lcs, sample_budget))
     if target_p is not None:
         (target_p,) = _index_ints((target_p,))
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    if q < 2:
+        raise ParameterError(f"q must be >= 2, got {q}")
     if max_lcs < 0:
         raise ParameterError(f"max_lcs must be >= 0, got {max_lcs}")
     if target_p is not None and target_p < 1:

@@ -100,14 +100,11 @@ def is_permutation(word: Sequence[int]) -> bool:
     False
     """
     try:
-        symbols = set(map(operator.index, word))
-    except TypeError:
+        symbols = _check_ints(word, len(word))
+    except ParameterError:
         return False
-    n = len(word)
-    if len(symbols) != n:
-        return False
-    # n distinct ints from 0 to n - 1 are exactly [n]
-    return n == 0 or (min(symbols) == 0 and max(symbols) == n - 1)
+    # n distinct ints in [0, n) are exactly [n]
+    return len(set(symbols)) == len(symbols)
 
 
 def validate_permutation(word: Sequence[int], name: str = "permutation") -> None:

@@ -71,7 +71,8 @@ from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
 from .perm_core import (
-    _check_ints, from_digits, identity, inverse, to_digits, ulam_distance, validate_permutation
+    _check_ints, _index_ints, from_digits, identity, inverse, to_digits, ulam_distance,
+    validate_permutation,
 )
 
 ShufflerTuple = tuple[tuple[int, ...], ...]
@@ -109,8 +110,14 @@ class UlamCodeParams:
     code: BlockCode
 
     def __post_init__(self):
-        if not all(hasattr(type(v), "__index__") for v in (self.q, self.ell)):
-            raise ParameterError(f"q and ell must be integers, got q={self.q!r}, ell={self.ell!r}")
+        try:
+            q, ell = _index_ints((self.q, self.ell))
+        except ParameterError:
+            raise ParameterError(
+                f"q and ell must be integers, got q={self.q!r}, ell={self.ell!r}"
+            ) from None
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "ell", ell)
         if self.q < 2:
             raise ParameterError(f"q must be >= 2, got {self.q}")
         if self.ell < 1:
@@ -174,8 +181,6 @@ def apply_stage(
     _stage_groups), reordered in C by ground.gathers[c].
     """
     q = ground.q
-    if q < 2:
-        raise ParameterError(f"ground set must be over [q] with q >= 2, got q={q}")
     n = len(pi)
     groups = len(shuffler)
     if q * groups != n:

@@ -1,6 +1,14 @@
+import json
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
+from ulamcodes.block_codes import greedy_gv_code
 from ulamcodes.cli import main, parse_shufflers
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 Q4_FLAGS = ["--q", "4", "--ell", "2", "--ground-set", "xor:all", "--code", "gv:4,4,2"]
 
@@ -371,3 +379,78 @@ def test_bad_count_or_integer_flag_exits_1_naming_it(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--ground-set", "xor:all", "--code", "gv:4,4,2"],
+         "instance needs q and ell (flags or config file)"),
+        (["build", "--q", "4", "--ell", "2", "--code", "gv:4,4,2"],
+         "instance needs a ground-set descriptor"),
+        (["build", "--q", "4", "--ell", "2", "--ground-set", "xor:all"],
+         "instance needs a block-code descriptor"),
+        (["encode", "--ground-set", "xor:all", "--raw-shufflers", "1 0; 1 1"],
+         "ground-set construction needs q"),
+    ],
+    ids=["q-and-ell", "ground-set", "code", "raw-shufflers-q"],
+)
+def test_incomplete_instance_names_what_is_missing(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_config_file_fills_only_the_flags_not_given(tmp_path, capsys):
+    cfg = tmp_path / "partial.cfg"
+    cfg.write_text("q=4\nground_set=xor:all\ncode=gv:4,5,2\n")
+    # q and the ground set come from the file, ell and the code from flags
+    assert main(["build", "--config", str(cfg), "--ell", "2", "--code", "gv:4,4,2"]) == 0
+    assert "n=16" in capsys.readouterr().out
+
+
+def test_build_text_and_json_carry_the_same_payload(capsys):
+    assert main(["build", *Q4_FLAGS]) == 0
+    text = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert main(["build", "--json", *Q4_FLAGS]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert text == {key: str(value) for key, value in payload.items()}
+    assert payload["code"] == repr(greedy_gv_code(4, 4, 2))
+    assert payload["code_min_distance"] == 2
+
+
+def readme_commands():
+    """
+    (argv, stdout file, expected output) for each ulamcodes line of the
+    README's sh blocks, with backslash continuations joined. A trailing
+    "> file" names the stdout file; a following "# -> ..." line gives the
+    expected output. Either is None when absent.
+    """
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    commands = []
+    for block in blocks:
+        lines = block.replace("\\\n", " ").splitlines()
+        for line, after in zip(lines, lines[1:] + [""]):
+            if not line.startswith("ulamcodes "):
+                continue
+            argv, out = shlex.split(line, comments=True)[1:], None
+            if len(argv) > 2 and argv[-2] == ">":
+                argv, out = argv[:-2], argv[-1]
+            expected = after[len("# -> "):] if after.startswith("# -> ") else None
+            commands.append((argv, out, expected))
+    return commands
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 9
+    monkeypatch.chdir(tmp_path)
+    for argv, out, expected in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0, (argv, captured.err)
+        if out is not None:
+            (tmp_path / out).write_text(captured.out)
+        if expected is not None:
+            assert captured.out == expected + "\n", argv

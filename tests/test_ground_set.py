@@ -104,6 +104,11 @@ class TestBruteForce:
         assert ground.p == 2
         assert ground.certified_max_lcs <= 2
 
+    @pytest.mark.parametrize("q", [1, 0, -1])
+    def test_q_below_two_raises_before_the_search(self, q):
+        with pytest.raises(ParameterError, match=f"q must be >= 2, got {q}"):
+            brute_force_ground_set(q, None, 0)
+
     def test_unreachable_target_raises(self):
         with pytest.raises(ParameterError):
             brute_force_ground_set(3, 3, 1)
@@ -201,6 +206,14 @@ class TestCertification:
         assert close.certified_max_lcs == 3 and close.pair_lcs == ((4, 3), (3, 4))
         with pytest.raises(ValueError, match="ground permutation"):
             dataclasses.replace(ground, perms=[(0, 1, 2, 3), (0, 1, 1, 3)])
+
+    @pytest.mark.parametrize(
+        "q, perms", [(-1, []), (0, [()]), (1, [(0,)]), (4, [5]), (4, None)]
+    )
+    def test_refuses_q_below_two_and_non_iterables(self, q, perms):
+        # these used to build a set over [q < 2] or escape as a bare TypeError
+        with pytest.raises(ParameterError):
+            GroundSet(q, perms)
 
     def test_rejects_malformed_members(self):
         with pytest.raises(ParameterError):

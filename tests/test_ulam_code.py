@@ -158,7 +158,7 @@ class TestStageProperties:
         # a negative symbol must not pick a ground permutation from the end
         with pytest.raises(ParameterError):
             uc.apply_stage(identity(8), 1, (0, -1, 0, 0), ground)
-        # over [1] the length walk would never reach n
+        # no ground set is over [1], where the length walk would never reach n
         with pytest.raises(ParameterError):
             uc.apply_stage((0, 1), 1, (0, 0), uc.GroundSet(1, [(0,)]))
 
@@ -719,6 +719,23 @@ class TestParamsAndBounds:
         ground = uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2))
         with pytest.raises(ParameterError, match="q and ell must be integers"):
             uc.UlamCodeParams(q=q, ell=ell, ground=ground, code=uc.greedy_gv_code(4, 8, 5))
+
+    def test_reads_q_and_ell_by_the_integer_rule(self):
+        # an object with only __index__ used to pass the type check and then
+        # escape as TypeError from the first comparison
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        ground = uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2))
+        params = uc.UlamCodeParams(
+            q=Index(8), ell=Index(2), ground=ground, code=uc.greedy_gv_code(4, 8, 5)
+        )
+        assert (params.q, params.ell, params.n) == (8, 2, 64)
+        assert type(params.q) is int and type(params.ell) is int
 
     def test_derived_quantities(self, q4_instance):
         assert q4_instance.n == 16
