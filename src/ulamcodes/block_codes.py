@@ -17,8 +17,9 @@ read by it through ``_index_ints``; a bad one raises ParameterError.
 Available constructions: Reed-Solomon with Gao decoding, explicit
 codeword lists such as the greedy Gilbert-Varshamov codes with
 nearest-codeword decoding through packed agreement counts, code
-concatenation (inner-then-outer decoding), plus repetition and identity
-codes for plumbing.
+concatenation (inner-then-outer decoding), and identity codes for
+plumbing. A repetition code is the explicit code of its constant words,
+so it decodes by plurality through the same agreement counts.
 
 A Reed-Solomon code keeps its k Vandermonde rows (a^j over the evaluation
 points) as field vectors, so encoding is one ``Field.combine`` call, and
@@ -98,6 +99,7 @@ class ReedSolomonCode(BlockCode):
     """
 
     def __init__(self, field: Field, n: int, k: int):
+        n, k = _index_ints((n, k))
         if n > field.order:
             raise ParameterError(
                 f"block length {n} exceeds field order {field.order}"
@@ -211,7 +213,6 @@ def _trim(poly: list[int]) -> list[int]:
 
 def rs_code(field_order: int, n: int, k: int) -> ReedSolomonCode:
     """Reed-Solomon [n, k] over GF(field_order); min distance n-k+1."""
-    field_order, n, k = _index_ints((field_order, n, k))
     return ReedSolomonCode(Field(field_order), n, k)
 
 
@@ -401,39 +402,11 @@ def concat_code(outer: BlockCode, inner: BlockCode) -> ConcatenatedCode:
 
 # ------------------------------------------------------------- trivial codes
 
-class RepetitionCode(BlockCode):
-    """One symbol repeated block_length times; plurality decoding."""
-
-    def __init__(self, alphabet_size: int, block_length: int):
-        if alphabet_size < 2 or block_length < 1:
-            raise ParameterError("repetition code needs alphabet >= 2 and length >= 1")
-        self.alphabet_size = alphabet_size
-        self.block_length = block_length
-        self.size = alphabet_size
-        self.min_distance = block_length
-        self.decoding_radius = (block_length - 1) // 2
-
-    def __repr__(self) -> str:
-        return f"RepetitionCode({self.alphabet_size}, n={self.block_length})"
-
-    def encode_index(self, x: int) -> tuple[int, ...]:
-        return _check_ints((x,), self.size, "message index") * self.block_length
-
-    def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
-        word = self.check_word(word)
-        counts = [0] * self.alphabet_size
-        for d in word:
-            counts[d] += 1
-        best = max(range(self.alphabet_size), key=lambda s: counts[s])
-        if self.block_length - counts[best] > self.decoding_radius:
-            return DecodeFailure("no symbol within the repetition radius")
-        return best
-
-
 class IdentityCode(BlockCode):
     """Every word is a codeword (rate 1, distance 1, radius 0)."""
 
     def __init__(self, alphabet_size: int, block_length: int):
+        alphabet_size, block_length = _index_ints((alphabet_size, block_length))
         if alphabet_size < 2 or block_length < 1:
             raise ParameterError("identity code needs alphabet >= 2 and length >= 1")
         self.alphabet_size = alphabet_size
@@ -452,12 +425,17 @@ class IdentityCode(BlockCode):
         return from_digits(self.check_word(word), self.alphabet_size)
 
 
-def repetition_code(alphabet_size: int, block_length: int) -> RepetitionCode:
-    return RepetitionCode(*_index_ints((alphabet_size, block_length)))
+def repetition_code(alphabet_size: int, block_length: int) -> ExplicitCode:
+    """The alphabet_size constant words of length block_length, as an explicit code."""
+    alphabet_size, block_length = _index_ints((alphabet_size, block_length))
+    if alphabet_size < 2 or block_length < 1:
+        raise ParameterError("repetition code needs alphabet >= 2 and length >= 1")
+    words = [(s,) * block_length for s in range(alphabet_size)]
+    return ExplicitCode(alphabet_size, words, label="repetition")
 
 
 def identity_code(alphabet_size: int, block_length: int) -> IdentityCode:
-    return IdentityCode(*_index_ints((alphabet_size, block_length)))
+    return IdentityCode(alphabet_size, block_length)
 
 
 # ------------------------------------------------------------ text interface

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm_core import read_int_rows, validate_permutation, write_int_rows
+from .perm_core import _index_ints, read_int_rows, validate_permutation, write_int_rows
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ def relocate(
     """
     validate_permutation(pi)
     n = len(pi)
+    (t,) = _index_ints((t,))
     if not 0 <= t <= n:
         raise ValueError(f"relocation count must be in 0..{n}, got {t}")
     rng = random.Random(seed)
@@ -53,6 +54,7 @@ def relocate(
 
 def random_permutation(n: int, seed: int) -> tuple[int, ...]:
     """Uniform permutation of [n] by a seeded Fisher-Yates shuffle."""
+    (n,) = _index_ints((n,))
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n}")
     rng = random.Random(seed)

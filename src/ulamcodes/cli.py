@@ -30,7 +30,6 @@ invalid parameters), 2 on usage errors. Failure paths print one
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import block_codes, channel, ground_set, perm_core, ulam_code, verify
@@ -259,10 +258,7 @@ def _cmd_build(args) -> int:
         "rate": rates.rate,
         "rate_lower": rates.rate_lower,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(f"{key}={value}" for key, value in payload.items()))
+    print(verify.payload_json(payload) if args.json else verify.payload_text(payload))
     return 0
 
 

@@ -36,6 +36,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import ParameterError
+from .perm_core import _index_ints
 
 _TABLE_LIMIT = 256
 
@@ -63,6 +64,7 @@ class Field:
     """Arithmetic in GF(p^m); element values are ints in [0, order)."""
 
     def __init__(self, order: int):
+        (order,) = _index_ints((order,))
         p, m = factor_prime_power(order)
         self.order = order
         self.characteristic = p

@@ -23,7 +23,9 @@ The integer rule, written once in _check_ints: every symbol, digit,
 message index and shuffler symbol a caller passes is read through
 operator.index, so a bool counts as its int and a float (even 1.0), a
 string or None is refused, and it must lie in [0, bound); a breach raises
-ParameterError (a ValueError) naming the value.
+ParameterError (a ValueError) naming the value. Every count, length,
+stage, base and order a caller passes is read by the same rule through
+_index_ints, and its range is checked where it is used.
 
 Every library file (permutations, ground sets, explicit codes, traces)
 is ASCII text, one row of space-separated integers per line, read and
@@ -78,13 +80,16 @@ def _check_ints(values: Iterable[int], bound: int, name: str = "symbol") -> tupl
 def _index_ints(values: Sequence[int], name: str = "parameter") -> tuple[int, ...]:
     """
     values read through operator.index, the integer rule without its range
-    (which the caller checks), or ParameterError naming the first non-integer.
+    (which the caller checks), or ParameterError naming the first value
+    operator.index refuses.
     """
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        bad = next(v for v in values if not hasattr(type(v), "__index__"))
-        raise ParameterError(f"{name} {bad!r} is not an integer") from None
+    ints = []
+    for v in values:
+        try:
+            ints.append(operator.index(v))
+        except TypeError:
+            raise ParameterError(f"{name} {v!r} is not an integer") from None
+    return tuple(ints)
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -120,6 +125,8 @@ def identity(n: int) -> tuple[int, ...]:
     >>> identity(4)
     (0, 1, 2, 3)
     """
+    if type(n) is not int:
+        (n,) = _index_ints((n,))
     if n < 1:
         raise ValueError(f"permutation length must be >= 1, got {n}")
     return tuple(range(n))
@@ -240,6 +247,8 @@ def to_digits(m: int, q: int, length: int) -> tuple[int, ...]:
     >>> to_digits(7, 3, 2)
     (2, 1)
     """
+    if type(q) is not int or type(length) is not int:
+        q, length = _index_ints((q, length))
     if q < 1:
         raise ValueError(f"base must be >= 1, got {q}")
     (m,) = _check_ints((m,), q**length, "message index")
@@ -257,6 +266,8 @@ def from_digits(digits: Sequence[int], q: int) -> int:
     >>> from_digits((1, 0, 1), 2)
     5
     """
+    if type(q) is not int:
+        (q,) = _index_ints((q,))
     if q < 1:
         raise ValueError(f"base must be >= 1, got {q}")
     value = 0

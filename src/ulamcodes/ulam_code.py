@@ -192,6 +192,8 @@ def apply_stage(
         ell += 1
     if size != n:
         raise ParameterError(f"permutation length {n} is not a power of q={q}")
+    if type(stage) is not int:
+        (stage,) = _index_ints((stage,))
     if not 1 <= stage <= ell:
         raise ParameterError(f"stage must be in 1..{ell}, got {stage}")
     shuffler = _check_ints(shuffler, ground.p, "shuffler symbol")

@@ -3,9 +3,11 @@ Desk-scale audits of a code instance: exhaustive or sampled pairwise
 distance minima against the guaranteed bound, injectivity, exact rate
 accounting, and decoder success-rate sweeps under relocation noise.
 
-Reports are plain dataclasses with as_dict() for JSON-style emission and
-as_text() for human-readable key/value lines; all randomness is seeded
-and recorded in the report.
+Every report is a dataclass serialized by one as_dict() (its fields as
+JSON values) and one key=value as_text(), which the sweep replaces with
+its table; timings=False drops elapsed_seconds. report_json and the CLI
+print through the same two layouts. All randomness is seeded and
+recorded in the report.
 """
 from __future__ import annotations
 
@@ -13,20 +15,54 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 
 from .block_codes import DecodeFailure
 from .channel import relocate
 from .errors import ParameterError
-from .perm_core import _lis_length, inverse, ulam_distance
+from .perm_core import _index_ints, _lis_length, inverse, ulam_distance
 from .ulam_code import UlamCodeParams, decode, encode
 
 PAIR_BUDGET = 10_000_000
 
 
+def payload_json(payload: dict) -> str:
+    """The JSON layout: indented, keys sorted."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def payload_text(payload: dict) -> str:
+    """The key=value layout: one line per key, in payload order."""
+    return "\n".join(f"{key}={value}" for key, value in payload.items())
+
+
+def _json_value(value):
+    """value in JSON types: dataclasses as dicts, tuples as lists, dicts by sorted str keys."""
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _json_value(v) for k, v in sorted(value.items())}
+    return value
+
+
+class _Report:
+    """The serializers every report dataclass shares (see the module docstring)."""
+
+    def as_dict(self, timings: bool = True) -> dict:
+        payload = _json_value(self)
+        if not timings:
+            payload.pop("elapsed_seconds", None)
+        return payload
+
+    def as_text(self, timings: bool = True) -> str:
+        return payload_text(self.as_dict(timings))
+
+
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Report):
     q: int
     ell: int
     n: int
@@ -40,16 +76,6 @@ class AuditReport:
     passed: bool
     seed: int | None
     elapsed_seconds: float
-
-    def as_dict(self, timings: bool = True) -> dict:
-        d = dict(self.__dict__)
-        d["worst_pair"] = list(self.worst_pair) if self.worst_pair else None
-        if not timings:
-            del d["elapsed_seconds"]
-        return d
-
-    def as_text(self, timings: bool = True) -> str:
-        return "\n".join(f"{k}={v}" for k, v in self.as_dict(timings).items())
 
 
 def audit_pairwise(
@@ -65,8 +91,10 @@ def audit_pairwise(
     injectivity is certified on the sampled pairs only. A seed is
     required with sample_pairs and refused without it.
     """
-    if sample_pairs is not None and sample_pairs < 1:
-        raise ParameterError(f"sample_pairs must be >= 1, got {sample_pairs}")
+    if sample_pairs is not None:
+        (sample_pairs,) = _index_ints((sample_pairs,))
+        if sample_pairs < 1:
+            raise ParameterError(f"sample_pairs must be >= 1, got {sample_pairs}")
     if sample_pairs is None and seed is not None:
         raise ParameterError("a seed needs sample_pairs: the exhaustive audit draws nothing")
     start = time.monotonic()
@@ -146,7 +174,7 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Report):
     rows: tuple[SweepRow, ...]
     decode_guarantee: str
     radius_violations: int
@@ -154,27 +182,9 @@ class SweepReport:
     elapsed_seconds: float
 
     def as_dict(self, timings: bool = True) -> dict:
-        payload = {
-            "decode_guarantee": self.decode_guarantee,
-            "radius_violations": self.radius_violations,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "t": r.t,
-                    "trials": r.trials,
-                    "successes": r.successes,
-                    "failures": r.failures,
-                    "wrong": r.wrong,
-                    "within_radius": r.within_radius,
-                    "within_radius_successes": r.within_radius_successes,
-                    "success_rate": round(r.success_rate, 6),
-                    "distance_histogram": {str(k): v for k, v in sorted(r.distance_histogram.items())},
-                }
-                for r in self.rows
-            ],
-        }
-        if timings:
-            payload["elapsed_seconds"] = self.elapsed_seconds
+        payload = super().as_dict(timings)
+        for row, r in zip(payload["rows"], self.rows):
+            row["success_rate"] = round(r.success_rate, 6)
         return payload
 
     def as_text(self, timings: bool = True) -> str:
@@ -202,6 +212,8 @@ def decoder_sweep(
     guarantee must recover its message; such trials failing (or decoding
     to a different message) count as radius violations.
     """
+    (trials,) = _index_ints((trials,))
+    t_values = _index_ints(t_values)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     start = time.monotonic()
@@ -257,7 +269,7 @@ def decoder_sweep(
 
 
 @dataclass(frozen=True)
-class RateReport:
+class RateReport(_Report):
     message_count: int
     n: int
     log_message_count: float
@@ -266,12 +278,6 @@ class RateReport:
     rate_lower: float
     ground_size_exponent: float  # log_q(p)
     code_rate: float  # log_p(|C|) / block length
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    def as_text(self) -> str:
-        return "\n".join(f"{k}={v}" for k, v in self.as_dict().items())
 
 
 def rate_report(params: UlamCodeParams) -> RateReport:
@@ -298,7 +304,4 @@ def rate_report(params: UlamCodeParams) -> RateReport:
 
 def report_json(report, timings: bool = True) -> str:
     """Any report as JSON; timings=False drops its elapsed_seconds, if it has one."""
-    payload = report.as_dict()
-    if not timings:
-        payload.pop("elapsed_seconds", None)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return payload_json(report.as_dict(timings))

@@ -563,6 +563,21 @@ class TestTrivialCodes:
                 for corrupted in corruptions(word, weight, 3):
                     assert code.decode_word(corrupted) == x
 
+    @pytest.mark.parametrize("alphabet, length", [(3, 4), (3, 5)])
+    def test_repetition_decodes_every_word_by_plurality(self, alphabet, length):
+        code = repetition_code(alphabet, length)
+        radius = (length - 1) // 2
+        assert (code.size, code.min_distance, code.decoding_radius) == (alphabet, length, radius)
+        for word in itertools.product(range(alphabet), repeat=length):
+            counts = [word.count(s) for s in range(alphabet)]
+            plurality = counts.index(max(counts))  # ties go to the smallest symbol
+            if length - counts[plurality] <= radius:
+                assert code.decode_word(word) == plurality
+            else:
+                assert isinstance(code.decode_word(word), DecodeFailure)
+        with pytest.raises(ParameterError):
+            repetition_code(alphabet, 0)
+
     def test_identity(self):
         code = identity_code(3, 2)
         assert code.encode_index(5) == (1, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shlex
@@ -418,6 +419,22 @@ def test_build_text_and_json_carry_the_same_payload(capsys):
     assert text == {key: str(value) for key, value in payload.items()}
     assert payload["code"] == repr(greedy_gv_code(4, 4, 2))
     assert payload["code_min_distance"] == 2
+
+
+def test_build_output_bytes_are_pinned(capsys):
+    assert main(["build", *Q4_FLAGS]) == 0
+    assert capsys.readouterr().out == (
+        "q=4\nell=2\nn=16\np=4\n"
+        "code=ExplicitCode(gv(d>=2): alphabet 4, [4, size 64, d=2])\n"
+        "code_size=64\ncode_min_distance=2\ncode_decoding_radius=0\nground_max_lcs=2\n"
+        "message_count=4096\ndistance_bound=4\ndecode_guarantee=1\nlcs_upper=12\n"
+        "dist_lower=4\nrate=0.2711855798100211\nrate_lower=0.1875\n"
+    )
+    assert main(["build", "--json", *Q4_FLAGS]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "e8e717e14e25cd8802aa1ea3f9c74f572a2632d5909b4d4c20b8b50af79c0c2f"
+    )
 
 
 def readme_commands():

@@ -7,7 +7,9 @@ import re
 import pytest
 
 import ulamcodes as uc
-from ulamcodes.block_codes import ExplicitCode
+from ulamcodes.block_codes import ExplicitCode, IdentityCode, ReedSolomonCode
+from ulamcodes.fields import Field
+from ulamcodes.perm_core import _index_ints, is_permutation
 
 BINARY = uc.xor_ground_set(2, uc.identity_code(2, 1))  # both perms of [2]
 GV_INSTANCE = uc.UlamCodeParams(
@@ -89,3 +91,52 @@ def test_constructor_reads_parameters_by_the_integer_rule(constructor, kwargs):
             message = re.escape(f"parameter {bad!r} is not an integer")
             with pytest.raises(uc.ParameterError, match=message):
                 constructor(**{**kwargs, name: bad})
+
+
+class Half:
+    """__index__ returns a non-int, so operator.index refuses it."""
+
+    def __index__(self):
+        return 1.5
+
+
+class Refusing:
+    """__index__ itself raises TypeError."""
+
+    def __index__(self):
+        raise TypeError("no integer here")
+
+
+@pytest.mark.parametrize("bad", [Half(), Refusing()], ids=["Half", "Refusing"])
+def test_a_value_whose_index_fails_is_named(bad):
+    # such a value has __index__, which once let StopIteration escape
+    with pytest.raises(uc.ParameterError, match=re.escape(f"parameter {bad!r} is not an integer")):
+        _index_ints((1, bad))
+    assert is_permutation((bad,)) is False
+
+
+# every count, length, stage, base or order a public entry takes; each is
+# given a non-integer in one parameter, which escaped as a bare TypeError,
+# returned float output (to_digits, from_digits) or built a code of float
+# size (IdentityCode)
+PARAMETERS = {
+    "identity": (lambda: uc.identity(4.0), 4.0),
+    "random_permutation": (lambda: uc.random_permutation(4.0, 1), 4.0),
+    "relocate": (lambda: uc.relocate(uc.identity(4), 2.0, 1), 2.0),
+    "apply_stage": (lambda: uc.apply_stage(uc.identity(4), 1.0, (0, 1), BINARY), 1.0),
+    "decoder_sweep t_values": (lambda: uc.decoder_sweep(GV_INSTANCE, [1.5], 2, 1), 1.5),
+    "decoder_sweep trials": (lambda: uc.decoder_sweep(GV_INSTANCE, [1], 2.5, 1), 2.5),
+    "audit_pairwise": (lambda: uc.audit_pairwise(GV_INSTANCE, sample_pairs=2.5, seed=1), 2.5),
+    "Field": (lambda: Field(16.0), 16.0),
+    "ReedSolomonCode": (lambda: ReedSolomonCode(Field(16), 16.0, 8), 16.0),
+    "IdentityCode": (lambda: IdentityCode(2.0, 3), 2.0),
+    "to_digits base": (lambda: uc.to_digits(5, 2.0, 3), 2.0),
+    "to_digits length": (lambda: uc.to_digits(5, 2, 3.0), 3.0),
+    "from_digits base": (lambda: uc.from_digits((1, 0, 1), 2.0), 2.0),
+}
+
+
+@pytest.mark.parametrize("call, bad", PARAMETERS.values(), ids=PARAMETERS.keys())
+def test_parameter_is_read_by_the_integer_rule(call, bad):
+    with pytest.raises(uc.ParameterError, match=re.escape(f"{bad!r} is not an integer")):
+        call()

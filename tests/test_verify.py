@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -240,3 +242,63 @@ def test_report_json_round_trips_every_report(q4_instance, make):
     assert json.loads(report_json(report)) == payload
     payload.pop("elapsed_seconds", None)
     assert json.loads(report_json(report, timings=False)) == payload
+
+
+# The exact bytes each report prints, pinned so that a change to how
+# reports serialize cannot move them. elapsed_seconds is replaced by a
+# fixed value, so the timed forms are pinned too. Text is pinned as
+# written; JSON by its sha256.
+PINNED_REPORTS = {
+    "sampled audit": (
+        lambda i: audit_pairwise(i["q4"], sample_pairs=20, seed=3),
+        "q=4\nell=2\nn=16\nmessage_count=4096\nmode=sample(20)\npairs_checked=20\n"
+        "min_distance=8\nworst_pair=[2562, 3883]\ndist_lower=4\ninjective=True\n"
+        "passed=True\nseed=3",
+        "f7baaf4ae20cbabe3d85559f4ca8902624ae10e0d032d2a597200f03c51d1bed",
+        "86710e8f3b426fe4cfba5837f4d09bc94c72684cf37662f45aac23b552ac940a",
+    ),
+    "exhaustive audit": (
+        lambda i: audit_pairwise(i["swap"]),
+        "q=2\nell=3\nn=8\nmessage_count=512\nmode=exhaustive\npairs_checked=130816\n"
+        "min_distance=2\nworst_pair=[0, 1]\ndist_lower=2\ninjective=True\n"
+        "passed=True\nseed=None",
+        "ea1e43cfcf8a59746e9b6527479cd65a8e7e6ad73c1414b1df1d32e4263c8848",
+        "39ae480530a258ee6ba08e68bc9e4e9854ee5f396384761de0124f491ed69ecd",
+    ),
+    # failures, a success rate that rounds (1/7), and histograms with
+    # keys of one and two digits
+    "sweep": (
+        lambda i: decoder_sweep(i["q8"], [0, 4, 8, 12, 16, 20], trials=7, seed=11),
+        "t trials successes failures wrong within_radius within_radius_successes rate\n"
+        "0 7 7 0 0 7 7 1.0000\n4 7 7 0 0 7 7 1.0000\n8 7 1 6 0 1 1 0.1429\n"
+        "12 7 0 7 0 0 0 0.0000\n16 7 0 7 0 0 0 0.0000\n20 7 0 7 0 0 0 0.0000\n"
+        "decode_guarantee=15/2\nradius_violations=0",
+        "87814e91efb9d38dea7803e8de87f60bb6972d3b6a14116fb62d6522b9be868c",
+        "917ba2898df526e2501c95c8a6b54927d0eca56b1d5d0a242d077dc388acdca1",
+    ),
+    "rate": (
+        lambda i: rate_report(i["q4"]),
+        "message_count=4096\nn=16\nlog_message_count=8.317766166719343\n"
+        "log_factorial=30.671860106080672\nrate=0.2711855798100211\nrate_lower=0.1875\n"
+        "ground_size_exponent=1.0\ncode_rate=0.75",
+        "d09e68c5fd02cae99151071cf254c4194acbe8a0df0d1ff72e46714a115caae1",
+        "d09e68c5fd02cae99151071cf254c4194acbe8a0df0d1ff72e46714a115caae1",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, text, json_sha, json_sha_untimed",
+                         PINNED_REPORTS.values(), ids=PINNED_REPORTS.keys())
+def test_report_bytes_are_pinned(swap_instance, q4_instance, q8_instance,
+                                 make, text, json_sha, json_sha_untimed):
+    report = make({"swap": swap_instance, "q4": q4_instance, "q8": q8_instance})
+    if hasattr(report, "elapsed_seconds"):
+        report = dataclasses.replace(report, elapsed_seconds=1.25)
+        assert report.as_text(timings=False) == text
+        assert report.as_text() == text + "\nelapsed_seconds=1.25"
+    else:
+        assert report.as_text() == text
+    for timings, sha in ((True, json_sha), (False, json_sha_untimed)):
+        dumped = report_json(report, timings=timings)
+        assert hashlib.sha256(dumped.encode()).hexdigest() == sha
+    assert report.as_dict() == json.loads(report_json(report))
