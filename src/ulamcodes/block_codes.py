@@ -224,7 +224,7 @@ class ExplicitCode(BlockCode):
     decoding returns the nearest codeword (the first one on ties) and
     fails beyond the radius. min_distance is the exact minimum pairwise
     Hamming distance, computed on construction (for a single codeword it
-    is the block length, vacuously).
+    is the block length, vacuously); a repeat is a pair at distance 0.
 
     Both come from packed agreement counts. The integer _cols[j][s] has
     one field per codeword, the smallest array item that holds
@@ -243,8 +243,6 @@ class ExplicitCode(BlockCode):
         length = len(tup[0])
         if any(len(w) != length for w in tup):
             raise ParameterError("codewords must share one length")
-        if len(set(tup)) != len(tup):
-            raise ParameterError("explicit code has repeated codewords")
         self.alphabet_size = alphabet_size
         self.block_length = length
         self.size = len(tup)
@@ -266,6 +264,8 @@ class ExplicitCode(BlockCode):
             max(counts[:c] + counts[c + 1 :], default=0)
             for c, counts in enumerate(map(self._agreements, tup))
         )
+        if self.min_distance == 0 and self.size > 1:
+            raise ParameterError("explicit code has repeated codewords")
         self.decoding_radius = (self.min_distance - 1) // 2
 
     def __repr__(self) -> str:

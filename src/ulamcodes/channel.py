@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm_core import _index_ints, read_int_rows, validate_permutation, write_int_rows
+from .perm_core import _check_ints, _index_ints, read_int_rows, validate_permutation, write_int_rows
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,14 @@ class RelocationTrace:
     moves: tuple[tuple[int, int], ...]
 
     def replay(self, word: Sequence[int]) -> tuple[int, ...]:
-        """Apply the moves to word; a move outside [0, len(word)) raises ValueError."""
+        """
+        Apply the moves to word. Positions are read by the integer rule, so
+        one outside [0, len(word)) or not an integer raises ParameterError.
+        """
         out = list(word)
         n = len(out)
-        for index, (src, dst) in enumerate(self.moves):
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(
-                    f"move {index} ({src}, {dst}) is out of range for length {n}"
-                )
+        for index, move in enumerate(self.moves):
+            src, dst = _check_ints(move, n, f"move {index} position")
             out.insert(dst, out.pop(src))
         return tuple(out)
 

@@ -23,6 +23,11 @@ Block-code descriptors:
     concat:<outer>/<inner>  concatenation of two descriptors
     file:<path>             explicit-code file ("alphabet length size" header)
 
+Every integer a flag, config value, descriptor field, shuffler string or
+list takes must match -?[0-9]+, the token rule of the library's files, so
+"+1", "1_0" and non-ASCII digits are refused; blanks around a separator
+are allowed.
+
 Exit status: 0 on success, 1 on domain failures (decoding failure,
 invalid parameters), 2 on usage errors. Failure paths print one
 "error: ..." line to stderr.
@@ -36,6 +41,7 @@ from . import block_codes, channel, ground_set, perm_core, ulam_code, verify
 from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
+from .perm_core import int_token
 
 
 # config-file key -> flag destination
@@ -60,7 +66,7 @@ def load_config_file(path: str) -> dict[str, int | str]:
             if key not in _CONFIG_KEYS:
                 raise ParameterError(f"{where}: unknown config key {key!r}")
             if key in ("q", "ell"):
-                value = _parse_flag(f"{where}: {key}", value, int, "an integer")
+                value = _parse_flag(f"{where}: {key}", value, int_token, "an integer")
             cfg[_CONFIG_KEYS[key]] = value
     return cfg
 
@@ -69,7 +75,7 @@ def _descriptor_ints(desc: str, fields: list[str], shape: str, arities: tuple[in
     """The integer fields of a descriptor, or a ParameterError quoting it and its expected shape."""
     if len(fields) in arities:
         try:
-            return [int(tok) for tok in fields]
+            return [int_token(tok.strip()) for tok in fields]
         except ValueError:
             pass
     raise ParameterError(f"descriptor {desc!r} does not match {shape}")
@@ -133,7 +139,7 @@ def parse_shufflers(text: str) -> tuple[tuple[int, ...], ...]:
     """Stages separated by ';' or '/', symbols by spaces or commas."""
     stages = [s for s in text.replace("/", ";").split(";") if s.strip()]
     return tuple(
-        tuple(int(tok) for tok in stage.replace(",", " ").split()) for stage in stages
+        tuple(map(int_token, stage.replace(",", " ").split())) for stage in stages
     )
 
 
@@ -147,8 +153,8 @@ def _parse_flag(flag: str, text: str, parse, shape: str):
 
 def _instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value instance config file")
-    parser.add_argument("--q", type=int, help="group alphabet size")
-    parser.add_argument("--ell", type=int, help="number of stages")
+    parser.add_argument("--q", type=int_token, help="group alphabet size")
+    parser.add_argument("--ell", type=int_token, help="number of stages")
     parser.add_argument("--ground-set", dest="ground", help="ground-set descriptor")
     parser.add_argument("--code", help="block-code descriptor")
 
@@ -181,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ground-set", help="construct and save a ground set")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=int_token, required=True)
     p.add_argument("--ground-set", dest="ground", required=True, help="descriptor to build")
     p.add_argument("--out", required=True, help="output ground-set file")
 
@@ -209,21 +215,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="apply t random relocations")
     p.add_argument("--perm", required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--t", type=int_token, required=True)
+    p.add_argument("--seed", type=int_token, required=True)
     p.add_argument("--trace-out", help="write the relocation trace here")
 
     p = sub.add_parser("audit", help="pairwise distance and injectivity audit")
     _instance_flags(p)
-    p.add_argument("--sample", type=int, help="number of sampled pairs (default: exhaustive)")
-    p.add_argument("--seed", type=int, help="required with --sample, refused without it")
+    p.add_argument(
+        "--sample", type=int_token, help="number of sampled pairs (default: exhaustive)"
+    )
+    p.add_argument("--seed", type=int_token, help="required with --sample, refused without it")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("sweep", help="decoder success-rate sweep under relocation noise")
     _instance_flags(p)
     p.add_argument("--t-list", required=True, help="comma-separated relocation counts")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--trials", type=int_token, default=100)
+    p.add_argument("--seed", type=int_token, required=True)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -278,7 +286,7 @@ def _cmd_encode(args) -> int:
         word = ulam_code.run_stages(shufflers, ground)
     else:
         params = _params(args)
-        word = ulam_code.encode(_parse_flag("--msg", args.msg, int, "an integer"), params)
+        word = ulam_code.encode(_parse_flag("--msg", args.msg, int_token, "an integer"), params)
     print(perm_core.format_permutation(word))
     if args.out:
         perm_core.write_int_rows(args.out, [word])
@@ -337,7 +345,7 @@ def _cmd_sweep(args) -> int:
     params = _params(args)
     t_values = _parse_flag(
         "--t-list", args.t_list,
-        lambda text: [int(tok) for tok in text.split(",") if tok.strip()],
+        lambda text: [int_token(tok.strip()) for tok in text.split(",") if tok.strip()],
         "comma-separated integers",
     )
     report = verify.decoder_sweep(params, t_values, args.trials, args.seed)
@@ -357,9 +365,18 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed command line; a usage error exits with status 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse (3.11) reads "--flag=--" as [] and calls no type on it
+    if [] in vars(args).values():
+        parser.error("'--' is not a flag value")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     try:
         if getattr(args, "config", None):
             for dest, value in load_config_file(args.config).items():

@@ -16,17 +16,16 @@ Walking the powers of the candidates 1, 2, ... until one reaches all
 order - 1 nonzero elements costs a small multiple of order raw products
 (1.3 * order at GF(2^16), 2 * order at GF(3^7)).
 
-For orders up to 256 every element fits a byte, and the multiplication
-table is kept as one ``bytes`` row per element, padded to 256 bytes:
-row g is filled from exp/log, and the row of g^(i+1) is the row of g^i
-translated through it, so the table costs O(order) ``bytes.translate``
-calls. ``mul`` and the vector methods, ``sub_scaled`` for an elimination
-row and ``eval_poly`` for Horner evaluation, read these rows. The linear
-combination ``combine`` (sum of c_i * row_i) takes rows made by ``vector``
-or ``power_rows`` (``bytes`` when the table exists); in characteristic 2 it
-is one ``bytes.translate`` per row, read as an integer and XORed. Above 256
-there is no multiplication table: ``mul`` reads exp/log, and the vector
-methods call it per element, as ``combine`` does in odd characteristic.
+``mul`` reads those tables in every field. Beyond them a field has one
+of two shapes. In characteristic 2 up to order 256 the multiplication
+table is one ``bytes`` row per element, padded to 256 bytes: row g is
+filled from exp/log, and the row of g^(i+1) is the row of g^i translated
+through it, so the table costs O(order) ``bytes.translate`` calls. The
+vector methods read these rows: ``sub_scaled`` (an elimination row),
+``eval_poly`` (Horner) and ``combine`` (sum of c_i * row_i over ``bytes``
+rows made by ``vector`` or ``power_rows``), one ``bytes.translate`` per
+row, read as an integer and XORed. Every other field has no table and
+tuple rows, and the vector methods call ``mul`` per element.
 """
 from __future__ import annotations
 
@@ -72,7 +71,7 @@ class Field:
         self.modulus = _find_irreducible(p, m) if m > 1 else None
         self._exp, self._log = self._exp_log()
         self._mul_rows: list[bytes] | None = None
-        if order <= _TABLE_LIMIT:
+        if p == 2 and order <= _TABLE_LIMIT:
             exp, log = self._exp, self._log
             pad = bytes(256 - order)
             # the row of a is b -> a*b; the row of g^(i+1) is g's row
@@ -124,8 +123,6 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if not 0 <= a < self.order or not 0 <= b < self.order:
             raise ValueError(f"mul({a}, {b}): not elements of GF({self.order})")
-        if self._mul_rows is not None:
-            return self._mul_rows[a][b]
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
@@ -150,7 +147,7 @@ class Field:
 
     def sub_scaled(self, u: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
         """The row u - c*v, element by element (zip stops at the shorter)."""
-        if self._mul_rows is None or self.characteristic != 2:
+        if self._mul_rows is None:
             return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
         row = self._mul_rows[c]
         return [x ^ row[y] for x, y in zip(u, v)]
@@ -158,7 +155,7 @@ class Field:
     def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
         """Horner evaluation at x of the polynomial with ascending coefficients."""
         acc = 0
-        if self._mul_rows is None or self.characteristic != 2:
+        if self._mul_rows is None:
             for c in reversed(coeffs):
                 acc = self.add(self.mul(acc, x), c)
             return acc
@@ -199,7 +196,7 @@ class Field:
         if not rows:
             return ()
         length = len(rows[0])
-        if self._mul_rows is not None and self.characteristic == 2:
+        if self._mul_rows is not None:
             # c * row is row translated through c's table row; XOR adds
             scaled = map(bytes.translate, rows, map(self._mul_rows.__getitem__, coeffs))
             total = reduce(operator.xor, map(int.from_bytes, scaled, repeat("little")), 0)

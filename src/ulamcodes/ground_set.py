@@ -9,7 +9,9 @@ yield permutations with LCS at most 2^|I|, so G's minimum distance caps
 the pairwise LCS at q / 2^dmin. The brute-force route greedily scans
 permutations of [q] (lexicographically, or random samples under a seeded
 budget) keeping those whose LCS with every kept permutation stays within
-a bound.
+a bound, capped at q - 1. Two permutations of [q] are equal exactly when
+their LCS is q, so the search never admits a repeat, and a set whose
+certified maximum LCS is q is refused as holding one.
 
 GroundSet(q, perms) is the one way to make a set, and it certifies
 exhaustively, so no set exists uncertified. The members are validated
@@ -89,8 +91,13 @@ class GroundSet:
             perms = tuple(map(tuple, self.perms))
         except TypeError:
             raise ParameterError(f"perms is not an iterable of words: {self.perms!r}") from None
-        _check_perms(q, perms)
+        for word in perms:
+            validate_permutation(word, "ground permutation")
+            if len(word) != q:
+                raise ParameterError(f"ground permutation of length {len(word)}, expected {q}")
         pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
+        if max_lcs == q:
+            raise ParameterError(f"duplicate ground permutation {perms[worst[1]]!r}")
         by_first, by_last = [[] for _ in range(q)], [[] for _ in range(q)]
         for c, w in enumerate(perms):
             by_first[w[0]].append(c)
@@ -113,22 +120,10 @@ class GroundSet:
         return f"GroundSet(q={self.q}, p={self.p}, max_lcs={self.certified_max_lcs})"
 
 
-def _check_perms(q: int, perms: Sequence[tuple[int, ...]]) -> None:
-    """Raise unless perms are distinct permutations of [q]."""
-    seen = set()
-    for word in perms:
-        validate_permutation(word, "ground permutation")
-        if len(word) != q:
-            raise ParameterError(f"ground permutation of length {len(word)}, expected {q}")
-        if word in seen:
-            raise ParameterError(f"duplicate ground permutation {word!r}")
-        seen.add(word)
-
-
 def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
     """
     The pairwise LCS table of perms, its off-diagonal max and the first
-    pair reaching it. perms must have passed _check_perms: each pair is
+    pair reaching it. perms must be permutations of one [q]: each pair is
     one LIS of perms[j] through the position table of perms[i], with no
     validation of its own.
     """
@@ -185,17 +180,8 @@ def brute_force_ground_set(
         raise ParameterError(f"max_lcs must be >= 0, got {max_lcs}")
     if target_p is not None and target_p < 1:
         raise ParameterError(f"target_p must be >= 1, got {target_p}")
+    bound = min(max_lcs, q - 1)  # a repeat has LCS q
     chosen: list[tuple[int, ...]] = []
-    chosen_set: set[tuple[int, ...]] = set()
-
-    def admit(word: tuple[int, ...]) -> bool:
-        # candidates are permutations made here, so the LIS kernel needs
-        # no validation: one position table per candidate, one pass per pair
-        if word in chosen_set:
-            return False
-        pos = inverse(word)
-        return all(_lis_length(pos, c) <= max_lcs for c in chosen)
-
     if seed is None:
         candidates: Iterable[tuple[int, ...]] = itertools.permutations(range(q))
     else:
@@ -210,10 +196,12 @@ def brute_force_ground_set(
         candidates = _sampled()
 
     for word in candidates:
-        if admit(word):
+        # candidates are permutations made here, so the LIS kernel needs
+        # no validation: one position table per candidate, one pass per pair
+        pos = inverse(word)
+        if all(_lis_length(pos, c) <= bound for c in chosen):
             chosen.append(word)
-            chosen_set.add(word)
-            if target_p is not None and len(chosen) == target_p:
+            if len(chosen) == target_p:
                 break
     if target_p is not None and len(chosen) < target_p:
         raise ParameterError(

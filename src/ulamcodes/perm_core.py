@@ -31,6 +31,7 @@ Every library file (permutations, ground sets, explicit codes, traces)
 is ASCII text, one row of space-separated integers per line, read and
 written only by read_int_rows and write_int_rows. Blank lines are
 skipped; a token must match -?[0-9]+, so "+1" and "1_0" are refused.
+The command line reads its integers by the same rule, through int_token.
 
 Apart from those two, all functions are pure and operate on immutable
 values; they are safe to call concurrently.
@@ -281,6 +282,16 @@ def from_digits(digits: Sequence[int], q: int) -> int:
 _INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
+def int_token(text: str) -> int:
+    """
+    text as an int by the token rule -?[0-9]+, or ValueError: the one check
+    behind every file token (read_int_rows) and every command-line integer.
+    """
+    if not _INT_TOKEN.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def format_permutation(word: Sequence[int]) -> str:
     return " ".join(str(x) for x in word)
 
@@ -294,17 +305,16 @@ def read_int_rows(
     ValueError naming path:line.
     """
     rows = []
-    # surrogateescape keeps a non-ASCII byte in its line, where the token rule refuses it
+    # surrogateescape keeps a non-ASCII byte in its line, to be named there
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             tokens = line.split()
             if not tokens:
                 continue
             try:
-                if not all(map(_INT_TOKEN.fullmatch, tokens)):
-                    raise ValueError("non-ASCII byte" if not line.isascii()
-                                     else f"expected integers, got {line.strip()!r}")
-                row = tuple(map(int, tokens))
+                if not line.isascii():
+                    raise ValueError("non-ASCII byte")
+                row = tuple(map(int_token, tokens))
                 if check is not None:
                     check(row)
             except ValueError as exc:

@@ -132,9 +132,12 @@ class UlamCodeParams:
             raise ParameterError(
                 f"shuffler code alphabet {self.code.alphabet_size} != |ground| = {self.ground.p}"
             )
-        if self.code.block_length != self.q ** (self.ell - 1):
+        length = self.code.block_length
+        # q^(ell-1) >= 2^(ell-1) exceeds length once ell - 1 reaches its bit
+        # length, so a longer power is refused before it is built
+        if self.ell - 1 >= length.bit_length() or length != self.q ** (self.ell - 1):
             raise ParameterError(
-                f"shuffler code length {self.code.block_length} != n/q = {self.q ** (self.ell - 1)}"
+                f"shuffler code length {length} != n/q = q^(ell-1) for q={self.q}, ell={self.ell}"
             )
 
     @property

@@ -83,11 +83,11 @@ def audit_pairwise(
 ) -> AuditReport:
     """
     Check min pairwise Ulam distance >= the distance bound and that
-    codewords are distinct. sample_pairs=None audits every pair
-    (message_count*(message_count-1)/2 must fit the pair budget);
-    otherwise that many seeded uniform pairs are drawn and each pair
-    encodes both of its messages, so message spaces beyond the budget
-    stay auditable, memory does not grow with sample_pairs, and
+    codewords are distinct (no pair at distance 0). sample_pairs=None
+    audits every pair (message_count*(message_count-1)/2 must fit the
+    pair budget); otherwise that many seeded uniform pairs are drawn and
+    each pair encodes both of its messages, so message spaces beyond the
+    budget stay auditable, memory does not grow with sample_pairs, and
     injectivity is certified on the sampled pairs only. A seed is
     required with sample_pairs and refused without it.
     """
@@ -111,7 +111,6 @@ def audit_pairwise(
             )
         mode = "exhaustive"
         words = [encode(x, params) for x in range(m)]
-        injective = len(set(words)) == m
         # the Ulam distance of two codewords is n minus the LIS of one
         # relabeled through the other's position table
         for i, pos_i in enumerate(map(inverse, words)):
@@ -125,7 +124,6 @@ def audit_pairwise(
             raise ParameterError("sampled audit needs a seed")
         mode = f"sample({sample_pairs})"
         rng = random.Random(seed)
-        injective = True
         pairs_checked = 0
         for _ in range(sample_pairs if m >= 2 else 0):
             i = rng.randrange(m)
@@ -134,11 +132,10 @@ def audit_pairwise(
                 j += 1
             d = n - _lis_length(inverse(encode(i, params)), encode(j, params))
             pairs_checked += 1
-            if d == 0:
-                injective = False
             if min_d is None or d < min_d:
                 min_d, worst = d, (min(i, j), max(i, j))
 
+    injective = min_d != 0
     passed = injective and (min_d is None or min_d >= dist_lower)
     return AuditReport(
         q=params.q,

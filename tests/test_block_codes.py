@@ -387,6 +387,14 @@ class TestExplicitCode:
         with pytest.raises(ParameterError):
             ExplicitCode(2, [(0, 2)])
 
+    def test_a_repeat_is_a_pair_at_distance_0(self):
+        for words in ([(0, 1, 1), (1, 0, 1), (0, 1, 1)], [(), ()]):
+            with pytest.raises(ParameterError, match="explicit code has repeated codewords"):
+                ExplicitCode(2, words)
+        # a single codeword has the block length as its distance, 0 for ()
+        code = ExplicitCode(2, [()])
+        assert (code.size, code.min_distance) == (1, 0)
+
     def test_file_round_trip(self, tmp_path):
         code = greedy_gv_code(3, 4, 2)
         path = tmp_path / "code.txt"

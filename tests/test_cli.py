@@ -383,6 +383,29 @@ def test_bad_count_or_integer_flag_exits_1_naming_it(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--q=--", "--ell", "2", "--ground-set", "xor:gv:2", "--code", "gv:4,8,5"],
+        ["build", "--ground-set=--", "--q", "8", "--ell", "2", "--code", "gv:4,8,5"],
+    ],
+    ids=["integer-flag", "string-flag"],
+)
+def test_dash_dash_flag_value_is_a_usage_error(argv):
+    # argparse reads "--q=--" as [] and calls no type on it, which escaped
+    # as a TypeError traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_blanks_around_separators_are_allowed(capsys):
+    flags = ["--q", "4", "--ell", "2", "--ground-set", "xor:all", "--code", "gv:4, 4, 2"]
+    assert main(["build", *flags]) == 0
+    assert "n=16" in capsys.readouterr().out
+    assert main(["sweep", "--t-list", "0, 1", "--trials", "2", "--seed", "1", *flags]) == 0
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["build", "--ground-set", "xor:all", "--code", "gv:4,4,2"],

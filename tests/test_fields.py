@@ -164,7 +164,8 @@ def test_combine_matches_scalar_sum(order):
         for c, row in zip(coeffs, rows):
             expected = [digitwise(f, x, f._mul_raw(c, y), 1) for x, y in zip(expected, row)]
         vectors = [f.vector(row) for row in rows]
-        assert all(type(v) is (bytes if order <= 256 else tuple) for v in vectors)
+        assert all(type(v) is (bytes if f.characteristic == 2 and order <= 256 else tuple)
+                   for v in vectors)
         assert f.combine(coeffs, vectors) == tuple(expected)
     assert f.combine([], []) == ()
 
@@ -192,7 +193,11 @@ def test_power_rows_match_repeated_raw_products(order):
 
 @pytest.mark.parametrize("order", [4, 9, 32, 243, 256])
 def test_multiplication_rows_are_padded_bytes(order):
+    # only characteristic 2 has byte rows: no other field's kernels read them
     f = Field(order)
+    if f.characteristic != 2:
+        assert f._mul_rows is None
+        return
     assert len(f._mul_rows) == order
     for a, row in enumerate(f._mul_rows):
         assert type(row) is bytes and len(row) == 256

@@ -99,6 +99,13 @@ class TestBruteForce:
         ground = brute_force_ground_set(3, None, 3)
         assert ground.p == 6
 
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_sampled_search_with_a_vacuous_bound_admits_no_repeat(self, seed):
+        # 720 draws from 24 permutations repeat many; the LCS bound, capped at
+        # q - 1, refuses every repeat, so the set is all 24 once each
+        ground = brute_force_ground_set(4, None, 9, seed=seed, sample_budget=720)
+        assert sorted(ground.perms) == list(itertools.permutations(range(4)))
+
     def test_target_reached_stops_early(self):
         ground = brute_force_ground_set(4, 2, 2)
         assert ground.p == 2
@@ -214,6 +221,20 @@ class TestCertification:
         # these used to build a set over [q < 2] or escape as a bare TypeError
         with pytest.raises(ParameterError):
             GroundSet(q, perms)
+
+    @pytest.mark.parametrize(
+        "perms, named",
+        [
+            ([(0, 1, 2), (2, 1, 0), (0, 1, 2)], (0, 1, 2)),
+            # worst_pair, the first pair at LCS q row by row, is (0, 4), not
+            # (1, 3), the first repeat in list order; its later member is named
+            ([(0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 0, 2), (0, 1, 2)], (0, 1, 2)),
+        ],
+    )
+    def test_a_repeat_is_a_pair_at_lcs_q(self, perms, named):
+        message = re.escape(f"duplicate ground permutation {named}")
+        with pytest.raises(ParameterError, match=message):
+            GroundSet(3, perms)
 
     def test_rejects_malformed_members(self):
         with pytest.raises(ParameterError):

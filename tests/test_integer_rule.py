@@ -32,6 +32,7 @@ ENTRIES = {
     "apply_stage": lambda v: uc.apply_stage(uc.identity(4), 1, (v, 0), BINARY),
     "to_digits": lambda v: uc.to_digits(v, 2, 3),
     "from_digits": lambda v: uc.from_digits((v, 0), 2),
+    "RelocationTrace.replay": lambda v: uc.RelocationTrace(((v, 2),)).replay(uc.identity(8)),
 }
 
 

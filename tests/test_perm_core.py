@@ -1,16 +1,23 @@
+import argparse
+import contextlib
+import io
 import itertools
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulamcodes import perm_core
+from ulamcodes import cli, perm_core
+from ulamcodes.errors import ParameterError
 from ulamcodes.perm_core import (
     _lis_length,
     from_digits,
     identity,
+    int_token,
     inverse,
     is_permutation,
     lcs_length,
@@ -385,3 +392,128 @@ def test_read_int_rows_keeps_exactly_the_token_rule(tmp_path_factory, lines):
         if tokens:
             rows.append(tuple(int(tok) for tok in tokens))
     assert read_int_rows(str(path)) == rows
+
+
+
+# -- every integer the command line takes keeps the same token rule ----------
+
+CLI_INSTANCE = ["--q", "4", "--ell", "2", "--ground-set", "xor:all", "--code", "gv:4,4,2"]
+
+
+def run_cli(argv):
+    """main(argv) with its output captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def flag_reader(command, flag, dest, required):
+    """The flag's parsed value for a text, or None when argparse refuses it (exit 2)."""
+    def read(text):
+        with contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args = cli.parse_args([command, *required, f"{flag}={text}"])
+            except SystemExit as exc:
+                assert exc.code == 2
+                return None
+        return getattr(args, dest)
+    return read
+
+
+def argparse_integer_flags():
+    """A reader for every argparse flag that takes an integer, by (command, flag)."""
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    readers = {}
+    for command, sub in commands.choices.items():
+        flags = [a for a in sub._actions if a.option_strings]
+        for action in flags:
+            assert action.type is not int, (command, action.option_strings)
+            if action.type is int_token:
+                flag = action.option_strings[0]
+                required = [
+                    f"{a.option_strings[0]}=1" for a in flags if a.required and a is not action
+                ]
+                readers[f"{command} {flag}"] = flag_reader(command, flag, action.dest, required)
+    return readers
+
+
+def config_reader(key):
+    def read(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance.cfg"
+            path.write_text(f"{key}={text}\n", encoding="utf-8")
+            try:
+                return cli.load_config_file(str(path))[key]
+            except ParameterError:
+                return None
+    return read
+
+
+def message_reader(argv_of, refusal):
+    """
+    Runs the CLI on argv_of(text); None when it refuses the text with the
+    refusal message (exit 1), True when the text is read (whatever follows).
+    """
+    def read(text):
+        code, err = run_cli(argv_of(text))
+        if err == f"error: {refusal.format(text=text)}\n":
+            assert code == 1
+            return None
+        return True
+    return read
+
+
+CLI_INTEGER_INPUTS = {
+    **argparse_integer_flags(),
+    "config q": config_reader("q"),
+    "config ell": config_reader("ell"),
+    "ground-set descriptor": message_reader(
+        lambda text: ["build", *CLI_INSTANCE, "--ground-set", f"bruteforce:{text}"],
+        "descriptor 'bruteforce:{text}' does not match bruteforce:MAX_LCS[:TARGET_P]",
+    ),
+    "code descriptor": message_reader(
+        lambda text: ["build", *CLI_INSTANCE, "--code", f"id:4,{text}"],
+        "descriptor 'id:4,{text}' does not match id:ALPHABET,N",
+    ),
+    "encode --raw-shufflers": message_reader(
+        lambda text: ["encode", f"--raw-shufflers={text}", "--q=2", "--ground-set=bruteforce:1"],
+        "--raw-shufflers must be integers separated by spaces, commas and ';', got {text!r}",
+    ),
+    "encode --msg": message_reader(
+        lambda text: ["encode", f"--msg={text}", *CLI_INSTANCE],
+        "--msg must be an integer, got {text!r}",
+    ),
+    "sweep --t-list": message_reader(
+        lambda text: ["sweep", f"--t-list={text}", "--trials", "1", "--seed", "1", *CLI_INSTANCE],
+        "--t-list must be comma-separated integers, got {text!r}",
+    ),
+}
+
+
+def test_every_cli_integer_input_is_listed():
+    flags = {name for name in CLI_INTEGER_INPUTS if name.split()[0] in cli._COMMANDS}
+    assert flags >= {
+        "build --q", "build --ell", "gen-ground-set --q", "corrupt --t", "corrupt --seed",
+        "audit --sample", "audit --seed", "sweep --trials", "sweep --seed",
+    }
+
+
+# digits, signs, the underscore int() allows between digits, a letter, and
+# two non-ASCII digits int() reads (Arabic-Indic and fullwidth five)
+INTEGER_TEXTS = st.text("0123456789-+_x\u0665\uff15", min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("read", CLI_INTEGER_INPUTS.values(), ids=CLI_INTEGER_INPUTS.keys())
+@settings(max_examples=60, deadline=None)
+@given(text=INTEGER_TEXTS)
+def test_cli_integer_input_keeps_exactly_the_token_rule(read, text):
+    value = read(text)
+    if not is_int_token(text):
+        assert value is None
+    else:
+        assert value is True or value == int(text)

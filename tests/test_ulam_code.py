@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -736,6 +737,15 @@ class TestParamsAndBounds:
         )
         assert (params.q, params.ell, params.n) == (8, 2, 64)
         assert type(params.q) is int and type(params.ell) is int
+
+    @pytest.mark.parametrize("ell", [10**4, 10**6])
+    def test_refuses_a_huge_ell_without_building_q_to_its_power(self, ell):
+        # formatting 8^(ell-1) into the message once raised Python's
+        # integer string conversion limit instead of a ParameterError
+        ground = uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2))
+        message = f"shuffler code length 8 != n/q = q^(ell-1) for q=8, ell={ell}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            uc.UlamCodeParams(8, ell, ground, uc.greedy_gv_code(4, 8, 5))
 
     def test_derived_quantities(self, q4_instance):
         assert q4_instance.n == 16
