@@ -96,6 +96,9 @@ class ReedSolomonCode(BlockCode):
     up to floor((n-k)/2) errors in O(n*(n-k)) field operations via Gao
     decoding (interpolation plus a partial extended Euclidean algorithm;
     S. Gao, "A new algorithm for decoding Reed-Solomon codes", 2003).
+    Gao's degree bound certifies the radius: an accepted message
+    polynomial agrees with the word except at the <= (n-k)/2 roots of the
+    error locator, so a decode is not re-encoded to check it.
     """
 
     def __init__(self, field: Field, n: int, k: int):
@@ -155,7 +158,7 @@ class ReedSolomonCode(BlockCode):
     def decode_word(self, word: Sequence[int]) -> int | DecodeFailure:
         word = self.check_word(word)
         f = self.field
-        n, k, e = self.block_length, self.k, self.decoding_radius
+        n, k = self.block_length, self.k
         # Gao: interpolate g1 = sum r_i * L_i through the received word,
         # run the extended Euclidean algorithm on (g0, g1) until the
         # remainder g has 2*deg(g) < n + k, keeping g1's cofactor v; the
@@ -170,13 +173,11 @@ class ReedSolomonCode(BlockCode):
             prev, g = g, rem
             v_prev, v = v, _poly_sub_mul(f, v_prev, quot, v)
         msg_poly, rem = _poly_divmod(f, g, v)
+        # deg v = n - deg prev <= (n - k)/2 and g = v * g1 at every point, so a
+        # quotient of degree < k misses the word only at roots of v: in radius
         if any(rem) or len(msg_poly) > k:
             return DecodeFailure("error locator does not divide the remainder")
-        msg_poly = msg_poly + [0] * (k - len(msg_poly))
-        codeword = self.encode(msg_poly)
-        if hamming_distance(codeword, word) > e:
-            return DecodeFailure("nearest candidate beyond decoding radius")
-        return from_digits(msg_poly, self.alphabet_size)
+        return from_digits(msg_poly + [0] * (k - len(msg_poly)), self.alphabet_size)
 
 
 def _poly_divmod(f: Field, num: Sequence[int], den: Sequence[int]):
@@ -241,8 +242,8 @@ class ExplicitCode(BlockCode):
             raise ParameterError("explicit code needs at least one codeword")
         tup = tuple(_check_ints(w, alphabet_size) for w in words)
         length = len(tup[0])
-        if any(len(w) != length for w in tup):
-            raise ParameterError("codewords must share one length")
+        if length < 1 or any(len(w) != length for w in tup):
+            raise ParameterError("codewords must share one length >= 1")
         self.alphabet_size = alphabet_size
         self.block_length = length
         self.size = len(tup)

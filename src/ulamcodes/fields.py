@@ -35,7 +35,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import ParameterError
-from .perm_core import _index_ints
+from .perm_core import _check_ints, _index_ints
 
 _TABLE_LIMIT = 256
 
@@ -88,14 +88,10 @@ class Field:
         return f"Field({self.order})"
 
     def check(self, a: int) -> int:
-        """Return a as an int, or raise ValueError unless it is an element."""
-        try:
-            a = operator.index(a)
-        except TypeError:
-            raise ValueError(f"{a!r} is not an element of GF({self.order})") from None
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not an element of GF({self.order})")
-        return a
+        """a as an element by perm_core's integer rule, or ParameterError naming it."""
+        if type(a) is int and 0 <= a < self.order:
+            return a
+        return _check_ints((a,), self.order, f"GF({self.order}) element")[0]
 
     def add(self, a: int, b: int) -> int:
         if self.characteristic == 2:

@@ -26,6 +26,7 @@ one C call. No table changes afterwards.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -167,9 +168,9 @@ def brute_force_ground_set(
 
     Default mode scans all q! permutations in lexicographic order; with a
     seed, random permutations are sampled instead, up to sample_budget
-    draws. Stops once target_p >= 1 permutations are found; target_p=None
-    keeps everything the greedy scan admits. Raises ParameterError if the
-    budget ends before target_p is reached.
+    draws. Stops once target_p >= 1 permutations are found, or all q! of
+    them; target_p=None keeps everything the greedy scan admits. Raises
+    ParameterError if the search ends before target_p is reached.
     """
     q, max_lcs, sample_budget = _index_ints((q, max_lcs, sample_budget))
     if target_p is not None:
@@ -181,6 +182,7 @@ def brute_force_ground_set(
     if target_p is not None and target_p < 1:
         raise ParameterError(f"target_p must be >= 1, got {target_p}")
     bound = min(max_lcs, q - 1)  # a repeat has LCS q
+    everything = math.factorial(q)  # once all are kept, every draw is a repeat
     chosen: list[tuple[int, ...]] = []
     if seed is None:
         candidates: Iterable[tuple[int, ...]] = itertools.permutations(range(q))
@@ -201,7 +203,7 @@ def brute_force_ground_set(
         pos = inverse(word)
         if all(_lis_length(pos, c) <= bound for c in chosen):
             chosen.append(word)
-            if len(chosen) == target_p:
+            if len(chosen) in (target_p, everything):
                 break
     if target_p is not None and len(chosen) < target_p:
         raise ParameterError(

@@ -15,8 +15,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, fields, is_dataclass
-from fractions import Fraction
+from collections import Counter
+from dataclasses import dataclass, fields, is_dataclass
 
 from .block_codes import DecodeFailure
 from .channel import relocate
@@ -38,13 +38,11 @@ def payload_text(payload: dict) -> str:
 
 
 def _json_value(value):
-    """value in JSON types: dataclasses as dicts, tuples as lists, dicts by sorted str keys."""
+    """value in JSON types: dataclasses as dicts of their fields, tuples as lists."""
     if is_dataclass(value):
         return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_json_value(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in sorted(value.items())}
     return value
 
 
@@ -163,7 +161,7 @@ class SweepRow:
     wrong: int
     within_radius: int
     within_radius_successes: int
-    distance_histogram: dict[int, int] = field(hash=False, default_factory=dict)
+    distance_histogram: tuple[tuple[int, int], ...]  # (distance, trials), by distance
 
     @property
     def success_rate(self) -> float:
@@ -216,44 +214,36 @@ def decoder_sweep(
     start = time.monotonic()
     rng = random.Random(seed)
     m = params.message_count
-    guarantee: Fraction = params.decode_guarantee
+    guarantee = params.decode_guarantee
     rows = []
     violations = 0
     for t in t_values:
-        successes = failures = wrong = within = within_ok = 0
-        hist: dict[int, int] = {}
+        tally = Counter()  # (outcome, measured strictly inside the guarantee) -> trials
+        hist = Counter()
         for _ in range(trials):
             x = rng.randrange(m)
             word = encode(x, params)
             corrupted, _ = relocate(word, t, rng.getrandbits(63))
             measured = ulam_distance(word, corrupted)
-            hist[measured] = hist.get(measured, 0) + 1
-            inside = Fraction(measured) < guarantee
-            if inside:
-                within += 1
+            hist[measured] += 1
             result = decode(corrupted, params)
             if isinstance(result, DecodeFailure):
-                failures += 1
-                if inside:
-                    violations += 1
-            elif result.message == x:
-                successes += 1
-                if inside:
-                    within_ok += 1
+                outcome = "failures"
             else:
-                wrong += 1
-                if inside:
-                    violations += 1
+                outcome = "successes" if result.message == x else "wrong"
+            tally[outcome, measured < guarantee] += 1
+        missed = tally["failures", True] + tally["wrong", True]
+        violations += missed
         rows.append(
             SweepRow(
                 t=t,
                 trials=trials,
-                successes=successes,
-                failures=failures,
-                wrong=wrong,
-                within_radius=within,
-                within_radius_successes=within_ok,
-                distance_histogram=hist,
+                successes=tally["successes", True] + tally["successes", False],
+                failures=tally["failures", True] + tally["failures", False],
+                wrong=tally["wrong", True] + tally["wrong", False],
+                within_radius=tally["successes", True] + missed,
+                within_radius_successes=tally["successes", True],
+                distance_histogram=tuple(sorted(hist.items())),
             )
         )
     return SweepReport(

@@ -388,12 +388,17 @@ class TestExplicitCode:
             ExplicitCode(2, [(0, 2)])
 
     def test_a_repeat_is_a_pair_at_distance_0(self):
-        for words in ([(0, 1, 1), (1, 0, 1), (0, 1, 1)], [(), ()]):
-            with pytest.raises(ParameterError, match="explicit code has repeated codewords"):
+        with pytest.raises(ParameterError, match="explicit code has repeated codewords"):
+            ExplicitCode(2, [(0, 1, 1), (1, 0, 1), (0, 1, 1)])
+        # a single codeword has the block length as its distance
+        code = ExplicitCode(2, [(1,)])
+        assert (code.size, code.min_distance, code.decode_word((1,))) == (1, 1, 0)
+
+    def test_refuses_codewords_of_length_0(self):
+        # length 0 would make the radius -1, so () could not decode to itself
+        for words in ([()], [(), ()]):
+            with pytest.raises(ParameterError, match="codewords must share one length >= 1"):
                 ExplicitCode(2, words)
-        # a single codeword has the block length as its distance, 0 for ()
-        code = ExplicitCode(2, [()])
-        assert (code.size, code.min_distance) == (1, 0)
 
     def test_file_round_trip(self, tmp_path):
         code = greedy_gv_code(3, 4, 2)
@@ -639,6 +644,6 @@ class TestSpecObject:
     def test_encode_rejects_non_integer_symbols(self, field_order):
         code = rs_code(field_order, 5, 3)
         for bad in (1.0, "1", None):
-            with pytest.raises(ValueError, match=f"is not an element of GF\\({field_order}\\)"):
+            with pytest.raises(ValueError, match=f"GF\\({field_order}\\) element .* is not an integer"):
                 code.encode((0, bad, 0))
         assert code.encode((0, True, 0)) == code.encode((0, 1, 0))

@@ -106,6 +106,29 @@ class TestBruteForce:
         ground = brute_force_ground_set(4, None, 9, seed=seed, sample_budget=720)
         assert sorted(ground.perms) == list(itertools.permutations(range(4)))
 
+    def test_sampled_search_stops_once_it_holds_every_permutation(self, monkeypatch):
+        # the number of draws after which seed 1's stream has shown all 24
+        rng, base, seen, needed = random.Random(1), list(range(4)), set(), 0
+        while len(seen) < 24:
+            rng.shuffle(base)
+            seen.add(tuple(base))
+            needed += 1
+        draws = []
+
+        class CountingRandom(random.Random):
+            def shuffle(self, x):
+                draws.append(x)
+                super().shuffle(x)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        # budgets that would take hours to draw: no draw after the 24th
+        # admission can be admitted, so the search stops there
+        ground = brute_force_ground_set(4, None, 9, seed=1, sample_budget=10**9)
+        assert (len(draws), sorted(ground.perms)) == (needed, sorted(seen))
+        with pytest.raises(ParameterError, match="search exhausted with 24 permutations"):
+            brute_force_ground_set(4, 25, 9, seed=1, sample_budget=10**9)
+        assert len(draws) == 2 * needed
+
     def test_target_reached_stops_early(self):
         ground = brute_force_ground_set(4, 2, 2)
         assert ground.p == 2

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ulamcodes import cli, perm_core
@@ -457,12 +457,16 @@ def config_reader(key):
 def message_reader(argv_of, refusal):
     """
     Runs the CLI on argv_of(text); None when it refuses the text with the
-    refusal message (exit 1), True when the text is read (whatever follows).
+    refusal message (exit 1), or as a flag value "--" (a usage error, exit
+    2), True when the text is read (whatever follows).
     """
     def read(text):
         code, err = run_cli(argv_of(text))
         if err == f"error: {refusal.format(text=text)}\n":
             assert code == 1
+            return None
+        if err.endswith("\nulamcodes: error: '--' is not a flag value\n"):
+            assert (code, text) == (2, "--")
             return None
         return True
     return read
@@ -511,6 +515,7 @@ INTEGER_TEXTS = st.text("0123456789-+_x\u0665\uff15", min_size=1, max_size=4)
 @pytest.mark.parametrize("read", CLI_INTEGER_INPUTS.values(), ids=CLI_INTEGER_INPUTS.keys())
 @settings(max_examples=60, deadline=None)
 @given(text=INTEGER_TEXTS)
+@example(text="--")
 def test_cli_integer_input_keeps_exactly_the_token_rule(read, text):
     value = read(text)
     if not is_int_token(text):

@@ -198,6 +198,24 @@ class TestDecoderSweep:
         assert row.wrong == 0  # never a silent wrong answer inside the radius
         assert report.radius_violations == 0
 
+    def test_every_miss_inside_the_guarantee_is_a_radius_violation(self, q8_instance, monkeypatch):
+        # distances 0 x5, then 7 x3 and 8 x2 around the guarantee 15/2, then 10..12
+        honest = decoder_sweep(q8_instance, [0, 8, 12], trials=5, seed=2)
+        assert [r.within_radius_successes for r in honest.rows] == [5, 3, 0]
+        misses = itertools.cycle([uc.DecodeFailure("forced"), uc.DecodeResult(-1, ())])
+        monkeypatch.setattr(verify, "decode", lambda pi, params: next(misses))
+        report = decoder_sweep(q8_instance, [0, 8, 12], trials=5, seed=2)
+        assert [(r.successes, r.failures, r.wrong) for r in report.rows] == [
+            (0, 3, 2), (0, 2, 3), (0, 3, 2)
+        ]
+        assert [(r.within_radius, r.within_radius_successes) for r in report.rows] == [
+            (5, 0), (3, 0), (0, 0)
+        ]
+        assert report.radius_violations == 8
+        assert [r.distance_histogram for r in report.rows] == [
+            r.distance_histogram for r in honest.rows
+        ]
+
     def test_report_serialization(self, q8_instance):
         report = decoder_sweep(q8_instance, [0, 2], trials=10, seed=8)
         payload = json.loads(report_json(report))
@@ -266,15 +284,15 @@ PINNED_REPORTS = {
         "39ae480530a258ee6ba08e68bc9e4e9854ee5f396384761de0124f491ed69ecd",
     ),
     # failures, a success rate that rounds (1/7), and histograms with
-    # keys of one and two digits
+    # distances of one and two digits, which list in numeric order
     "sweep": (
         lambda i: decoder_sweep(i["q8"], [0, 4, 8, 12, 16, 20], trials=7, seed=11),
         "t trials successes failures wrong within_radius within_radius_successes rate\n"
         "0 7 7 0 0 7 7 1.0000\n4 7 7 0 0 7 7 1.0000\n8 7 1 6 0 1 1 0.1429\n"
         "12 7 0 7 0 0 0 0.0000\n16 7 0 7 0 0 0 0.0000\n20 7 0 7 0 0 0 0.0000\n"
         "decode_guarantee=15/2\nradius_violations=0",
-        "87814e91efb9d38dea7803e8de87f60bb6972d3b6a14116fb62d6522b9be868c",
-        "917ba2898df526e2501c95c8a6b54927d0eca56b1d5d0a242d077dc388acdca1",
+        "875117e3ca946be7205fa4d6dcd8415ae7c8ea79462d272481b8f776468696ce",
+        "9489315c322d93c1ca5e8e052e7708ce8fe34e09c0fcfab86e05167b052bd802",
     ),
     "rate": (
         lambda i: rate_report(i["q4"]),
