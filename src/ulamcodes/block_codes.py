@@ -35,6 +35,7 @@ import itertools
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Sequence
 
 from .errors import ParameterError
@@ -140,8 +141,8 @@ class ReedSolomonCode(BlockCode):
         """
         g0 = prod (x - a_i), and for each point a_i the row L_i of the
         Lagrange basis (L_i(a_j) = [i == j]), coefficients ascending, as a
-        field vector. Built on the first decode, so encode-only users never
-        pay for it.
+        field vector: g0 / (x - a_i) over the product of (a_i - a_j), j != i.
+        Built on the first decode, so encode-only users never pay for it.
         """
         f = self.field
         g0 = [1]
@@ -151,7 +152,7 @@ class ReedSolomonCode(BlockCode):
         rows = []
         for a in self.points:
             others, _ = _poly_divmod(f, g0, [f.neg(a), 1])
-            scale = f.inv(f.eval_poly(others, a))
+            scale = f.inv(reduce(f.mul, [f.sub(a, b) for b in self.points if b != a], 1))
             rows.append(f.vector([f.mul(scale, c) for c in others]))
         return g0, tuple(rows)
 
@@ -175,8 +176,10 @@ class ReedSolomonCode(BlockCode):
         msg_poly, rem = _poly_divmod(f, g, v)
         # deg v = n - deg prev <= (n - k)/2 and g = v * g1 at every point, so a
         # quotient of degree < k misses the word only at roots of v: in radius
-        if any(rem) or len(msg_poly) > k:
+        if any(rem):
             return DecodeFailure("error locator does not divide the remainder")
+        if len(msg_poly) > k:
+            return DecodeFailure(f"message polynomial has degree {len(msg_poly) - 1} >= k = {k}")
         return from_digits(msg_poly + [0] * (k - len(msg_poly)), self.alphabet_size)
 
 

@@ -21,11 +21,11 @@ of two shapes. In characteristic 2 up to order 256 the multiplication
 table is one ``bytes`` row per element, padded to 256 bytes: row g is
 filled from exp/log, and the row of g^(i+1) is the row of g^i translated
 through it, so the table costs O(order) ``bytes.translate`` calls. The
-vector methods read these rows: ``sub_scaled`` (an elimination row),
-``eval_poly`` (Horner) and ``combine`` (sum of c_i * row_i over ``bytes``
-rows made by ``vector`` or ``power_rows``), one ``bytes.translate`` per
-row, read as an integer and XORed. Every other field has no table and
-tuple rows, and the vector methods call ``mul`` per element.
+vector methods read these rows: ``sub_scaled`` (an elimination row) and
+``combine`` (sum of c_i * row_i over ``bytes`` rows made by ``vector`` or
+``power_rows``, one ``bytes.translate`` per row, read as an integer and
+XORed). Every other field has no table and tuple rows, and the vector
+methods call ``mul`` per element.
 """
 from __future__ import annotations
 
@@ -128,37 +128,12 @@ class Field:
             raise ValueError(f"{a} is not an element of GF({self.order})")
         return self._exp[self.order - 1 - self._log[a]]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
     def sub_scaled(self, u: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
         """The row u - c*v, element by element (zip stops at the shorter)."""
         if self._mul_rows is None:
             return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
         row = self._mul_rows[c]
         return [x ^ row[y] for x, y in zip(u, v)]
-
-    def eval_poly(self, coeffs: Sequence[int], x: int) -> int:
-        """Horner evaluation at x of the polynomial with ascending coefficients."""
-        acc = 0
-        if self._mul_rows is None:
-            for c in reversed(coeffs):
-                acc = self.add(self.mul(acc, x), c)
-            return acc
-        row = self._mul_rows[x]
-        for c in reversed(coeffs):
-            acc = row[acc] ^ c
-        return acc
 
     def power_rows(self, points: Sequence[int], count: int) -> tuple:
         """

@@ -47,9 +47,12 @@ from .errors import ParameterError
 
 
 def check_distinct(s: Sequence[int], name: str = "string") -> None:
-    """Raise ValueError if s contains a repeated symbol."""
+    """Raise ValueError naming the first repeated symbol of s and its two positions."""
     if len(set(s)) != len(s):
-        raise ValueError(f"{name} has repeated symbols: {tuple(s)!r}")
+        first: dict = {}
+        for j, x in enumerate(s):
+            if first.setdefault(x, j) != j:
+                raise ValueError(f"{name} repeats symbol {x!r} at positions {first[x]} and {j}")
 
 
 def _check_ints(values: Iterable[int], bound: int, name: str = "symbol") -> tuple[int, ...]:
@@ -106,17 +109,19 @@ def is_permutation(word: Sequence[int]) -> bool:
     False
     """
     try:
-        symbols = _check_ints(word, len(word))
-    except ParameterError:
+        validate_permutation(word)
+    except ValueError:
         return False
-    # n distinct ints in [0, n) are exactly [n]
-    return len(set(symbols)) == len(symbols)
+    return True
 
 
 def validate_permutation(word: Sequence[int], name: str = "permutation") -> None:
-    """Raise ValueError unless word is a permutation of [len(word)]."""
-    if not is_permutation(word):
-        raise ValueError(f"{name} is not a permutation of [{len(word)}]: {tuple(word)!r}")
+    """Raise ValueError unless word is a permutation of [len(word)], naming its first fault."""
+    try:
+        # n distinct ints in [0, n) are exactly [n]
+        check_distinct(_check_ints(word, len(word)), "it")
+    except ValueError as exc:
+        raise ValueError(f"{name} is not a permutation of [{len(word)}]: {exc}") from None
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -178,7 +183,7 @@ def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
     """
     pos_in_a = dict(zip(a, range(len(a))))
     if len(pos_in_a) != len(a):
-        raise ValueError(f"first string has repeated symbols: {tuple(a)!r}")
+        check_distinct(a, "first string")
     check_distinct(b, "second string")
     try:
         return _lis_length(pos_in_a, b)

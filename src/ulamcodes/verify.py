@@ -211,6 +211,8 @@ def decoder_sweep(
     t_values = _index_ints(t_values)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not t_values:
+        raise ParameterError("t_values must hold at least one relocation count")
     start = time.monotonic()
     rng = random.Random(seed)
     m = params.message_count

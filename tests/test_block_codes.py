@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -161,6 +162,14 @@ ORACLE_CODES = [
 ]
 
 
+def horner(f, coeffs, x):
+    """The polynomial with ascending coeffs at x, by scalar f.mul and f.add (exp/log)."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = f.add(f.mul(acc, x), c)
+    return acc
+
+
 def decode_outcome(result):
     """The decoded message, or DecodeFailure whatever its reason text."""
     return DecodeFailure if isinstance(result, DecodeFailure) else result
@@ -279,6 +288,20 @@ class TestGaoAgainstBerlekampWelch:
             for i in range(code.decoding_radius + 1)
         )
 
+    @pytest.mark.parametrize("field_order,n,k,reasons", [
+        (5, 5, 1, {"error locator does not divide the remainder": 1700,
+                   "message polynomial has degree 1 >= k = 1": 420,
+                   "message polynomial has degree 2 >= k = 1": 100}),
+        (4, 4, 2, {"message polynomial has degree 2 >= k = 2": 48}),
+    ])
+    def test_each_failure_names_its_kind(self, field_order, n, k, reasons):
+        # Gao fails either on a remainder left by the error locator or on a
+        # quotient of degree >= k; every word of the code is tried
+        code = rs_code(field_order, n, k)
+        results = map(code.decode_word, itertools.product(range(field_order), repeat=n))
+        counts = collections.Counter(r.reason for r in results if isinstance(r, DecodeFailure))
+        assert counts == reasons
+
     def test_round_trip_over_gf1024_with_errors(self):
         # GF(1024) has no multiplication table: encode and decode read exp/log
         code = rs_code(1024, 40, 20)
@@ -311,11 +334,11 @@ class TestGaoAgainstBerlekampWelch:
             # g0 vanishes on every point; row i is L_i as a field vector, so
             # 1 at a_i and 0 elsewhere, and g1 = sum r_i * L_i needs no sign
             assert len(g0) == code.block_length + 1
-            assert all(f.eval_poly(g0, a) == 0 for a in code.points)
+            assert all(horner(f, g0, a) == 0 for a in code.points)
             assert len(rows) == code.block_length
             for i, row in enumerate(rows):
                 assert row == f.vector(row) and len(row) == code.block_length
-                assert [f.eval_poly(row, a) for a in code.points] == [
+                assert [horner(f, row, a) for a in code.points] == [
                     int(j == i) for j in range(code.block_length)
                 ]
 
@@ -332,10 +355,10 @@ class TestGaoAgainstBerlekampWelch:
         special = [0, 1, field_order - 1]
         for _ in range(30):
             message = [rng.choice(special + [rng.randrange(field_order)]) for _ in range(k)]
-            assert code.encode(message) == tuple(f.eval_poly(message, a) for a in code.points)
+            assert code.encode(message) == tuple(horner(f, message, a) for a in code.points)
         x = rng.randrange(code.size)
         digits = to_digits(x, field_order, k)
-        assert code.encode_index(x) == tuple(f.eval_poly(digits, a) for a in code.points)
+        assert code.encode_index(x) == tuple(horner(f, digits, a) for a in code.points)
 
 
 class TestGreedyGv:

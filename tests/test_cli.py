@@ -371,9 +371,11 @@ def test_malformed_descriptor_quotes_it_and_its_shape(capsys, flag, desc, messag
          "--raw-shufflers must be integers separated by spaces, commas and ';', got '1,x'"),
         (["sweep", "--t-list", "1,x", "--seed", "1"],
          "--t-list must be comma-separated integers, got '1,x'"),
+        (["sweep", "--t-list", ",", "--trials", "3", "--seed", "1"],
+         "t_values must hold at least one relocation count"),
     ],
     ids=["audit-sample", "sweep-trials", "audit-sample-zero", "sweep-trials-zero",
-         "encode-msg", "encode-raw-shufflers", "sweep-t-list"],
+         "encode-msg", "encode-raw-shufflers", "sweep-t-list", "sweep-t-list-empty"],
 )
 def test_bad_count_or_integer_flag_exits_1_naming_it(capsys, argv, message):
     assert main(argv + Q4_FLAGS) == 1
@@ -494,3 +496,17 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
             (tmp_path / out).write_text(captured.out)
         if expected is not None:
             assert captured.out == expected + "\n", argv
+
+
+def test_decode_prints_the_codeword(tmp_path, capsys):
+    # the README instance: encode 2025 and relocate 6 symbols; decode prints
+    # the message, then the word that was sent
+    flags = ["--q", "8", "--ell", "2", "--ground-set", "xor:gv:2", "--code", "gv:4,8,5"]
+    word, noisy = tmp_path / "word.txt", tmp_path / "noisy.txt"
+    assert main(["encode", "--msg", "2025", *flags, "--out", str(word)]) == 0
+    encoded = capsys.readouterr().out
+    assert main(["corrupt", "--perm", str(word), "--t", "6", "--seed", "7"]) == 0
+    noisy.write_text(capsys.readouterr().out)
+    assert noisy.read_text() != encoded
+    assert main(["decode", "--perm", str(noisy), "--print-codeword", *flags]) == 0
+    assert capsys.readouterr().out == "2025\n" + encoded

@@ -62,12 +62,23 @@ def test_mul_and_inv_reject_non_elements(order):
                 call()
 
 
+def power(f, a, e):
+    """a^e in f by square-and-multiply over f.mul, apart from Field."""
+    out = 1
+    while e:
+        if e & 1:
+            out = f.mul(out, a)
+        a = f.mul(a, a)
+        e >>= 1
+    return out
+
+
 def test_pow_matches_repeated_multiplication():
     f = Field(16)
     for a in range(16):
         acc = 1
         for e in range(6):
-            assert f.pow(a, e) == acc
+            assert power(f, a, e) == acc
             acc = f.mul(acc, a)
 
 
@@ -83,7 +94,7 @@ def test_multiplicative_group_order():
     for order in (8, 9, 25, 64):
         f = Field(order)
         for a in range(1, order):
-            assert f.pow(a, order - 1) == 1
+            assert power(f, a, order - 1) == 1
 
 
 def digitwise(f, a, b, sign):
@@ -116,11 +127,6 @@ def check_vector_methods(f, rows):
         v = [rng.randrange(f.order) for _ in range(length)]
         c = rng.randrange(f.order)
         assert f.sub_scaled(u, c, v) == [f.sub(x, f.mul(c, y)) for x, y in zip(u, v)]
-        x = rng.randrange(f.order)
-        expected = 0
-        for j, coeff in enumerate(u):
-            expected = f.add(expected, f.mul(coeff, f.pow(x, j)))
-        assert f.eval_poly(u, x) == expected
 
 
 @pytest.mark.parametrize("order", PRIME_POWERS_TO_64)
@@ -137,8 +143,8 @@ def test_vector_methods_at_the_table_limit(order):
 
 
 def test_vector_methods_without_tables():
-    # above the table limit both vector methods call mul per element, and
-    # mul reads the exp/log tables
+    # above the table limit sub_scaled calls mul per element, and mul reads
+    # the exp/log tables
     for order in (512, 1024):
         f = Field(order)
         assert f._mul_rows is None
@@ -265,9 +271,5 @@ def test_above_table_limit_matches_raw_product(order):
         length = rng.randrange(0, 12)
         u = [rng.choice(elements) for _ in range(length)]
         v = [rng.choice(elements) for _ in range(length)]
-        c, x = rng.choice(elements), rng.choice(elements)
+        c = rng.choice(elements)
         assert f.sub_scaled(u, c, v) == [f.sub(s, f._mul_raw(c, t)) for s, t in zip(u, v)]
-        acc = 0
-        for coeff in reversed(u):
-            acc = f.add(f._mul_raw(acc, x), coeff)
-        assert f.eval_poly(u, x) == acc

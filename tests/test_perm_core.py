@@ -329,6 +329,23 @@ class TestPermutationBasics:
             with pytest.raises(ValueError, match="not a permutation"):
                 validate_permutation(word)
 
+    def test_refusals_name_the_first_fault_not_the_word(self):
+        big = list(range(100_001))
+        big[-1] = 5
+        for word, fault in [
+            (big, "it repeats symbol 5 at positions 5 and 100000"),
+            ((0, 1.0, 2), "symbol 1.0 is not an integer"),
+            ((0, 3, 1), "symbol 3 out of range [0, 3)"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                validate_permutation(word)
+            assert str(exc.value) == f"permutation is not a permutation of [{len(word)}]: {fault}"
+        for a, b, name in [(big, [0], "first"), ([0], big, "second")]:
+            for lcs in (lcs_length, lcs_length_dp):
+                with pytest.raises(ValueError) as exc:
+                    lcs(a, b)
+                assert str(exc.value) == f"{name} string repeats symbol 5 at positions 5 and 100000"
+
     def test_inverse(self):
         word = (2, 0, 1)
         inv = inverse(word)

@@ -179,6 +179,11 @@ class TestDecoderSweep:
         with pytest.raises(ParameterError, match="trials must be >= 1, got 0"):
             decoder_sweep(q8_instance, [0], trials=0, seed=5)
 
+    def test_empty_t_values_rejected(self, q8_instance):
+        # an empty sweep ran no trial, so it must not report zero violations
+        with pytest.raises(ParameterError, match="t_values must hold at least one"):
+            decoder_sweep(q8_instance, [], trials=3, seed=1)
+
     def test_zero_noise_all_succeed(self, q8_instance):
         report = decoder_sweep(q8_instance, [0], trials=20, seed=5)
         assert report.rows[0].success_rate == 1.0
