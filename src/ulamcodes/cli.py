@@ -5,8 +5,10 @@ Subcommands: gen-ground-set, build, encode, decode, distance, corrupt,
 audit, sweep. Instances are described by --q/--ell plus a ground-set
 descriptor and a block-code descriptor. A flat key=value config file
 (--config) fills the instance flags that were not given, so flags
-override the file. build prints one set of derived parameters: key=value
-lines, or JSON with the same keys under --json.
+override the file; '#' starts a comment and a repeated key is refused.
+perm_core.read_lines reads it, as every file, so a fault names path:line.
+build prints one set of derived parameters: key=value lines, or JSON with
+the same keys under --json.
 
 Ground-set descriptors:
     xor:gv:<d>        XOR construction from a greedy-GV binary code of
@@ -44,30 +46,28 @@ from .ground_set import GroundSet
 from .perm_core import int_token
 
 
-# config-file key -> flag destination
-_CONFIG_KEYS = {"q": "q", "ell": "ell", "ground_set": "ground", "code": "code"}
+# config-file keys, each the destination of its flag
+_CONFIG_KEYS = ("q", "ell", "ground_set", "code")
 
 
 def load_config_file(path: str) -> dict[str, int | str]:
-    """The file's instance values, keyed by flag destination (q, ell, ground, code)."""
+    """The file's instance values, keyed by flag destination: key=value lines, '#' comments."""
     cfg = {}
-    # surrogateescape keeps a non-ASCII byte inside its line, to be named there
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            where = f"{path}:{lineno}"
-            if not raw.isascii():
-                raise ParameterError(f"{where}: non-ASCII byte")
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{where}: config line is not key=value: {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ParameterError(f"{where}: unknown config key {key!r}")
-            if key in ("q", "ell"):
-                value = _parse_flag(f"{where}: {key}", value, int_token, "an integer")
-            cfg[_CONFIG_KEYS[key]] = value
+
+    def read(line: str) -> None:
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            return
+        if "=" not in text:
+            raise ParameterError(f"config line is not key=value: {line.strip()!r}")
+        key, value = (part.strip() for part in text.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ParameterError(f"unknown config key {key!r}")
+        if key in cfg:
+            raise ParameterError(f"repeated config key {key!r}")
+        cfg[key] = _parse_flag(key, value, int_token, "an integer") if key in ("q", "ell") else value
+
+    perm_core.read_lines(path, read)
     return cfg
 
 
@@ -155,16 +155,16 @@ def _instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value instance config file")
     parser.add_argument("--q", type=int_token, help="group alphabet size")
     parser.add_argument("--ell", type=int_token, help="number of stages")
-    parser.add_argument("--ground-set", dest="ground", help="ground-set descriptor")
+    parser.add_argument("--ground-set", help="ground-set descriptor")
     parser.add_argument("--code", help="block-code descriptor")
 
 
 def _ground(args) -> GroundSet:
     if args.q is None:
         raise ParameterError("ground-set construction needs q")
-    if args.ground is None:
+    if args.ground_set is None:
         raise ParameterError("instance needs a ground-set descriptor")
-    return resolve_ground_set(args.ground, args.q)
+    return resolve_ground_set(args.ground_set, args.q)
 
 
 def _params(args) -> ulam_code.UlamCodeParams:
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-ground-set", help="construct and save a ground set")
     p.add_argument("--q", type=int_token, required=True)
-    p.add_argument("--ground-set", dest="ground", required=True, help="descriptor to build")
+    p.add_argument("--ground-set", required=True, help="descriptor to build")
     p.add_argument("--out", required=True, help="output ground-set file")
 
     p = sub.add_parser("build", help="validate an instance and print derived parameters")
@@ -348,6 +348,8 @@ def _cmd_sweep(args) -> int:
         lambda text: [int_token(tok.strip()) for tok in text.split(",") if tok.strip()],
         "comma-separated integers",
     )
+    if not t_values:
+        raise ParameterError(f"--t-list must hold at least one relocation count, got {args.t_list!r}")
     report = verify.decoder_sweep(params, t_values, args.trials, args.seed)
     print(verify.report_json(report, timings=False) if args.json else report.as_text(timings=False))
     return 0 if report.radius_violations == 0 else 1

@@ -27,13 +27,16 @@ ParameterError (a ValueError) naming the value. Every count, length,
 stage, base and order a caller passes is read by the same rule through
 _index_ints, and its range is checked where it is used.
 
-Every library file (permutations, ground sets, explicit codes, traces)
-is ASCII text, one row of space-separated integers per line, read and
-written only by read_int_rows and write_int_rows. Blank lines are
-skipped; a token must match -?[0-9]+, so "+1" and "1_0" are refused.
-The command line reads its integers by the same rule, through int_token.
+Every file is ASCII text read by read_lines, the one reader, which skips
+blank lines and raises a non-ASCII byte or any fault in a line as
+ParameterError prefixed path:line; the command line's config file too.
+Library files (permutations, ground sets, explicit codes, traces) hold
+one row of space-separated integers per line, read by read_int_rows and
+written by write_int_rows; a token must match -?[0-9]+, so "+1" and "1_0"
+are refused. The command line reads its integers by the same rule,
+through int_token.
 
-Apart from those two, all functions are pure and operate on immutable
+Apart from those three, all functions are pure and operate on immutable
 values; they are safe to call concurrently.
 """
 from __future__ import annotations
@@ -41,7 +44,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import ParameterError
 
@@ -94,25 +97,6 @@ def _index_ints(values: Sequence[int], name: str = "parameter") -> tuple[int, ..
         except TypeError:
             raise ParameterError(f"{name} {v!r} is not an integer") from None
     return tuple(ints)
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    """
-    Check that word is a permutation of [n] in word form, n = len(word).
-
-    Every symbol must be an int (or have __index__); a float is rejected
-    even when it equals an integer.
-
-    >>> [is_permutation(w) for w in [(), (0,), (1, 0), (0, 2), (0, 0, 1)]]
-    [True, True, True, False, False]
-    >>> is_permutation((0, 1.0, 2))
-    False
-    """
-    try:
-        validate_permutation(word)
-    except ValueError:
-        return False
-    return True
 
 
 def validate_permutation(word: Sequence[int], name: str = "permutation") -> None:
@@ -285,6 +269,7 @@ def from_digits(digits: Sequence[int], q: int) -> int:
 # -- the integer-row file format (see the module docstring) ------------------
 
 _INT_TOKEN = re.compile(r"-?[0-9]+")
+T = TypeVar("T")
 
 
 def int_token(text: str) -> int:
@@ -301,31 +286,40 @@ def format_permutation(word: Sequence[int]) -> str:
     return " ".join(str(x) for x in word)
 
 
+def read_lines(path: str, parse: Callable[[str], T]) -> list[T]:
+    """
+    parse(line) for each line of the text file at path that is not blank:
+    the one reader of outside files. A non-ASCII byte, or a ValueError
+    from parse, raises ParameterError prefixed path:line.
+    """
+    values = []
+    # surrogateescape keeps a non-ASCII byte in its line, to be named there
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                if not line.isascii():
+                    raise ValueError("non-ASCII byte")
+                if not line.isspace():
+                    values.append(parse(line))
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{lineno}: {exc}") from None
+    return values
+
+
 def read_int_rows(
     path: str, check: Callable[[tuple[int, ...]], None] | None = None
 ) -> list[tuple[int, ...]]:
     """
-    The non-blank rows of an integer-row file, each passed to check if given.
-    A bad token, a non-ASCII byte, or a ValueError from check raises
-    ValueError naming path:line.
+    The non-blank rows of an integer-row file, each passed to check if given;
+    read_lines names the line of a bad token or of a ValueError from check.
     """
-    rows = []
-    # surrogateescape keeps a non-ASCII byte in its line, to be named there
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                if not line.isascii():
-                    raise ValueError("non-ASCII byte")
-                row = tuple(map(int_token, tokens))
-                if check is not None:
-                    check(row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(row)
-    return rows
+    def row(line: str) -> tuple[int, ...]:
+        ints = tuple(map(int_token, line.split()))
+        if check is not None:
+            check(ints)
+        return ints
+
+    return read_lines(path, row)
 
 
 def write_int_rows(path: str, rows: Iterable[Sequence[int]]) -> None:

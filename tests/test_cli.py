@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import ulamcodes as uc
 from ulamcodes.block_codes import greedy_gv_code
 from ulamcodes.cli import main, parse_shufflers
+from ulamcodes.fields import Field
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -331,6 +333,14 @@ def test_bad_file_token_exits_1_with_path_and_line(tmp_path, capsys, kind, text,
     assert "Traceback" not in err
 
 
+def test_repeated_config_key_names_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    # read as the last value, q=16 would build another instance without a word
+    cfg.write_text("q=8\nell=2\nground_set=xor:gv:2\ncode=gv:4,8,5\n# again\nq=16\n")
+    assert main(["build", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:6: repeated config key 'q'\n"
+
+
 def test_config_non_integer_names_path_line_and_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# instance\nell=2\nq=abc\n")
@@ -372,7 +382,7 @@ def test_malformed_descriptor_quotes_it_and_its_shape(capsys, flag, desc, messag
         (["sweep", "--t-list", "1,x", "--seed", "1"],
          "--t-list must be comma-separated integers, got '1,x'"),
         (["sweep", "--t-list", ",", "--trials", "3", "--seed", "1"],
-         "t_values must hold at least one relocation count"),
+         "--t-list must hold at least one relocation count, got ','"),
     ],
     ids=["audit-sample", "sweep-trials", "audit-sample-zero", "sweep-trials-zero",
          "encode-msg", "encode-raw-shufflers", "sweep-t-list", "sweep-t-list-empty"],
@@ -460,6 +470,29 @@ def test_build_output_bytes_are_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "e8e717e14e25cd8802aa1ea3f9c74f572a2632d5909b4d4c20b8b50af79c0c2f"
     )
+
+
+def test_build_names_a_concatenated_code_by_its_parts(capsys):
+    # the audit-concat512 instance: code= is the nested repr of the code
+    argv = ["build", "--q", "8", "--ell", "3", "--ground-set", "xor:gv:2",
+            "--code", "concat:rs:16,16,8/gv:4,4,3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "q=8\nell=3\nn=512\np=4\n"
+        "code=ConcatenatedCode(ReedSolomonCode(GF(16), n=16, k=8) over "
+        "ExplicitCode(gv(d>=3): alphabet 4, [4, size 16, d=3]))\n"
+        "code_size=4294967296\ncode_min_distance=27\ncode_decoding_radius=6\n"
+        "ground_max_lcs=2\nmessage_count=79228162514264337593543950336\n"
+        "distance_bound=162\ndecode_guarantee=21\nlcs_upper=350\ndist_lower=162\n"
+        "rate=0.02477313151980715\nrate_lower=0.020833333333333336\n"
+    )
+    code = uc.concat_code(uc.rs_code(16, 16, 8), uc.greedy_gv_code(4, 4, 3))
+    params = uc.UlamCodeParams(8, 3, uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)), code)
+    assert repr(params) == (
+        "UlamCodeParams(q=8, ell=3, n=512, p=4, |C|=4294967296, "
+        "M=79228162514264337593543950336, distance_bound=162)"
+    )
+    assert repr(Field(16)) == "Field(16)"
 
 
 def readme_commands():

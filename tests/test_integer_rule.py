@@ -9,7 +9,7 @@ import pytest
 import ulamcodes as uc
 from ulamcodes.block_codes import ExplicitCode, IdentityCode, ReedSolomonCode
 from ulamcodes.fields import Field
-from ulamcodes.perm_core import _index_ints, is_permutation
+from ulamcodes.perm_core import _index_ints, validate_permutation
 
 BINARY = uc.xor_ground_set(2, uc.identity_code(2, 1))  # both perms of [2]
 GV_INSTANCE = uc.UlamCodeParams(
@@ -113,7 +113,8 @@ def test_a_value_whose_index_fails_is_named(bad):
     # such a value has __index__, which once let StopIteration escape
     with pytest.raises(uc.ParameterError, match=re.escape(f"parameter {bad!r} is not an integer")):
         _index_ints((1, bad))
-    assert is_permutation((bad,)) is False
+    with pytest.raises(ValueError, match=re.escape(f"symbol {bad!r} is not an integer")):
+        validate_permutation((bad,))
 
 
 # every count, length, stage, base or order a public entry takes; each is

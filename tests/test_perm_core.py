@@ -19,7 +19,6 @@ from ulamcodes.perm_core import (
     identity,
     int_token,
     inverse,
-    is_permutation,
     lcs_length,
     lcs_length_dp,
     read_int_rows,
@@ -316,16 +315,13 @@ class TestDigits:
 
 
 class TestPermutationBasics:
-    def test_is_permutation(self):
-        assert is_permutation((1, 0, 2))
-        assert is_permutation(())
-        assert not is_permutation((0, 2))
-        assert not is_permutation((0, 0, 1))
-        assert not is_permutation((1, 2))
-        assert not is_permutation((-1, 0))
-        # a symbol that is not an int is rejected, even one equal to an int
-        for word in [(0, 0.5, 2), (0, 1.0, 2), (0, float("nan"), 2), (1.0,), (0, "1")]:
-            assert not is_permutation(word)
+    def test_validate_permutation(self):
+        for word in [(1, 0, 2), (), (0,)]:
+            validate_permutation(word)
+        # a gap, a repeat, a symbol out of range, and a symbol that is not
+        # an int, even one equal to an int
+        for word in [(0, 2), (0, 0, 1), (1, 2), (-1, 0),
+                     (0, 0.5, 2), (0, 1.0, 2), (0, float("nan"), 2), (1.0,), (0, "1")]:
             with pytest.raises(ValueError, match="not a permutation"):
                 validate_permutation(word)
 

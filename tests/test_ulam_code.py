@@ -16,11 +16,11 @@ from ulamcodes.perm_core import (
     from_digits,
     identity,
     inverse,
-    is_permutation,
     lcs_length,
     restrict,
     to_digits,
     ulam_distance,
+    validate_permutation,
 )
 from ulamcodes.ulam_code import _best_symbol, _rank_patterns, _stage_groups
 
@@ -119,7 +119,7 @@ class TestWorkedExamples:
 
 
 class TestStageProperties:
-    def test_output_is_permutation(self):
+    def test_output_is_a_permutation(self):
         rng = random.Random(9)
         ground = uc.xor_ground_set(4, uc.identity_code(2, 2))
         for _ in range(100):
@@ -127,7 +127,7 @@ class TestStageProperties:
             stage = rng.randrange(1, 3)
             w = tuple(rng.randrange(4) for _ in range(4))
             out = uc.apply_stage(pi, stage, w, ground)
-            assert is_permutation(out)
+            validate_permutation(out)
 
     def test_locality_other_digits_fixed(self):
         rng = random.Random(10)
