@@ -14,7 +14,8 @@ Multiplication and inversion read exp/log tables of the smallest
 primitive element g: exp[i] = g^i and log[a] is the exponent of a.
 Walking the powers of the candidates 1, 2, ... until one reaches all
 order - 1 nonzero elements costs a small multiple of order raw products
-(1.3 * order at GF(2^16), 2 * order at GF(3^7)).
+(1.3 * order at GF(2^16), 2 * order at GF(3^7)). An order above
+ORDER_LIMIT = 2^16 is refused before it is factored or any table built.
 
 ``mul`` reads those tables in every field. Beyond them a field has one
 of two shapes. In characteristic 2 up to order 256 the multiplication
@@ -38,6 +39,7 @@ from .errors import ParameterError
 from .perm_core import _check_ints, _index_ints
 
 _TABLE_LIMIT = 256
+ORDER_LIMIT = 1 << 16
 
 
 def factor_prime_power(order: int) -> tuple[int, int]:
@@ -64,6 +66,8 @@ class Field:
 
     def __init__(self, order: int):
         (order,) = _index_ints((order,))
+        if order > ORDER_LIMIT:
+            raise ParameterError(f"field order {order} is above the limit {ORDER_LIMIT}")
         p, m = factor_prime_power(order)
         self.order = order
         self.characteristic = p

@@ -48,7 +48,7 @@ from .perm_core import (
 @dataclass(frozen=True)
 class GroundSet:
     """
-    p distinct permutations of [q], q >= 2, plus their exact max pairwise LCS.
+    p >= 1 distinct permutations of [q], q >= 2, plus their exact max pairwise LCS.
 
     q and perms are the only arguments. The constructor validates and
     certifies them and computes every other field, so no figure can be
@@ -58,7 +58,7 @@ class GroundSet:
     GroundSet(q=4, p=2, max_lcs=3)
 
     certified_max_lcs is the largest LCS over distinct pairs (0 for
-    p < 2) and worst_pair the first pair (i, j), i < j, that reaches it.
+    p = 1) and worst_pair the first pair (i, j), i < j, that reaches it.
     pair_lcs[i][j] is the LCS of perms[i] and perms[j] (q on the
     diagonal); by_first_symbol[s] (by_last_symbol[s]) lists, ascending,
     the indices of the permutations that start (end) with symbol s.
@@ -92,6 +92,9 @@ class GroundSet:
             perms = tuple(map(tuple, self.perms))
         except TypeError:
             raise ParameterError(f"perms is not an iterable of words: {self.perms!r}") from None
+        if not perms:
+            # refused before the per-symbol and (q+1) x (q+1) tables are built
+            raise ParameterError("ground set is empty")
         for word in perms:
             validate_permutation(word, "ground permutation")
             if len(word) != q:

@@ -39,11 +39,16 @@ The per-group guess is an exact nearest-neighbour search. A group is
 read once as its rank pattern r, the x-indices of its symbols in
 received order; r is a permutation of [q], and relabeling symbols by x
 does not change an Ulam distance, so each candidate c is scored as
-ulam_distance(r, sigma_c). An exact match is looked up first. Then up
-to three anchors are scored: the first candidates that start with r[0],
-end with r[-1] and start with r[1] (a symbol relocated to the front
-hides the true candidate from r[0], rarely from the other two), each
-skipped when missing or ruled out by the bounds below. A distance d
+ulam_distance(r, sigma_c). An exact match is looked up first. Then,
+for q >= 4, up to six anchors are scored: the first candidates that
+start with r[0], r[1] or r[2], and the first that end with r[-1], r[-2]
+or r[-3]. A symbol relocated before or after the group's positions
+becomes r[0] or r[-1] and hides the sent candidate from that end, more
+rarely from both ends or from the next place in. Anchors that also agree
+with r one symbol further in (sigma_c[1] = r[k+1] for a start at r[k],
+sigma_c[-2] = r[-2-k] for an end at r[-1-k]) are scored before the
+rest, each skipped when missing or ruled out by the bounds below. The
+order of scoring never changes the answer. A distance d
 below half the ground set's minimum pairwise distance q - max_lcs puts
 every other candidate farther, so that candidate is the answer.
 Otherwise the search goes on by best-first elimination (E. Vidal's
@@ -126,8 +131,6 @@ class UlamCodeParams:
             raise ParameterError(
                 f"ground set is over [{self.ground.q}], expected [{self.q}]"
             )
-        if self.ground.p < 1:
-            raise ParameterError("ground set is empty")
         if self.code.alphabet_size != self.ground.p:
             raise ParameterError(
                 f"shuffler code alphabet {self.code.alphabet_size} != |ground| = {self.ground.p}"
@@ -263,25 +266,41 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     """
     The index c minimizing ulam_distance(rank, sigma_c) for a group's rank
     pattern (a permutation of [q]); ties go to the smallest c. The
-    anchors named by rank[0], rank[-1] and rank[1] are scored first, then
-    the best-first elimination search of the module docstring runs from
-    their bounds; each candidate scored is one call of the module-level
-    ulam_distance, and every other candidate is ruled out by a bound.
+    anchors named by rank[0], rank[-1], rank[1], rank[-2], rank[2] and
+    rank[-3] are scored first, those that agree with rank one symbol
+    further in ahead of the rest; then the best-first elimination search
+    of the module docstring runs from their bounds. Each candidate scored
+    is one call of the module-level ulam_distance, and every other
+    candidate is ruled out by a bound.
     """
-    perms = ground.perms
-    starts = ground.by_first_symbol[rank[0]]
+    perms, first, last = ground.perms, ground.by_first_symbol, ground.by_last_symbol
+    starts = first[rank[0]]
     for c in starts:
         if perms[c] == rank:
             return c
     pair_lcs, gaps = ground.pair_lcs, ground.gaps
-    separation = len(rank) - ground.certified_max_lcs
-    # the anchors named by rank[0], rank[-1] and rank[1], popped from the end
-    named = (ground.by_first_symbol[rank[1]], ground.by_last_symbol[rank[-1]], starts)
-    anchors = [cs[0] for cs in named if cs]
+    q = len(rank)
+    separation = q - ground.certified_max_lcs
+    # each anchor is the first candidate that starts with rank[k] or ends
+    # with rank[-1-k], k = 0, 1, 2; the ones that also agree one symbol
+    # further in are scored first. Below q = 4 that symbol can lie past
+    # the pattern, and a set of at most 3! members needs no anchor.
+    agree, other = [], []
+    if q > 3:
+        for cs, at, symbol in (
+            (starts, 1, rank[1]), (last[rank[-1]], -2, rank[-2]),
+            (first[rank[1]], 1, rank[2]), (last[rank[-2]], -2, rank[-3]),
+            (first[rank[2]], 1, rank[3]), (last[rank[-3]], -2, rank[-4]),
+        ):
+            if cs:
+                (agree if perms[cs[0]][at] == symbol else other).append(cs[0])
+    # popped from the end, so the agreeing anchors go first
+    anchors = agree + other
+    anchors.reverse()
     # lower[x] <= d(rank, sigma_x), with equality for every scored x, so no
     # scored candidate is picked again; best_d starts above every distance
     lower = [0] * len(perms)
-    best, best_d = 0, len(rank) + 1
+    best, best_d = 0, q + 1
     while True:
         if anchors:
             x = anchors.pop()

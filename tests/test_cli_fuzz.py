@@ -6,7 +6,10 @@ one "error:" line on a refusal, and lets no other exception escape.
 
 Instances stay small: q is 2, 4 or 8 (a junk q text is below 4), field
 orders are at most 256, greedy GV spaces at most 4^6, file integers at
-most 24, and the brute-force search runs only at q <= 4.
+most 24, and the brute-force search runs only at q <= 4. Two larger
+inputs are drawn because they must be refused before anything is built
+for them: a field order above fields.ORDER_LIMIT, and a ground-set file
+whose header names a q up to 10^10 and no permutation.
 """
 import contextlib
 import io
@@ -35,7 +38,8 @@ FILE_DESCS = FILES.map(lambda name: f"file:@DIR@/{name}")
 # take 0-4 fields drawn from all of them, mostly a wrong arity
 CODE_FIELDS = {
     "rs": [
-        field("-1", "0", "1", "2", "4", "6", "7", "8", "9", "16", "27", "64", "100", "243", "256"),
+        field("-1", "0", "1", "2", "4", "6", "7", "8", "9", "16", "27", "64", "100", "243", "256",
+              "65537", "2147483647", "1" + "0" * 30),
         field("-1", "0", "1", "2", "4", "8", "16", "64", "300"),
         field("-1", "0", "1", "2", "4", "8", "16", "64"),
     ],
@@ -89,12 +93,16 @@ def q_texts(q):
 
 ELL_TEXTS = field("-1", "0", "1", "2", "3")
 
-# rows of small tokens, a bad token, a comment mark or a non-ASCII byte
-FILE_TEXT = st.lists(
-    st.lists(st.sampled_from(["0", "1", "2", "3", "4", "16", "24", "-1", "x", "+1", "#", "\xff"]),
-             max_size=5).map(" ".join),
-    max_size=6,
-).map(lambda rows: "\n".join(rows).encode("latin-1"))
+# rows of small tokens, a bad token, a comment mark or a non-ASCII byte;
+# or a ground-set header with a large q and no permutation
+FILE_TEXT = st.one_of(
+    st.lists(
+        st.lists(st.sampled_from(["0", "1", "2", "3", "4", "16", "24", "-1", "x", "+1", "#", "\xff"]),
+                 max_size=5).map(" ".join),
+        max_size=6,
+    ).map(lambda rows: "\n".join(rows)),
+    st.sampled_from(["2000", "100000", "10000000000"]).map("{} 0 0\n".format),
+).map(lambda text: text.encode("latin-1"))
 
 
 # a valid instance per q; a case starts from it and replaces up to two parts
@@ -159,6 +167,9 @@ Q4 = ["--q=4", "--ell=2", "--ground-set=xor:all"]
 @settings(max_examples=300, deadline=None)
 @given(case=cli_cases())
 @example(case=(["build", *Q4, "--code=rs:16,4"], None, b""))
+@example(case=(["build", *Q4, "--code=rs:2147483647,4,2"], None, b""))
+@example(case=(["build", "--q=4", "--ell=2", "--ground-set=file:@DIR@/bad.txt", "--code=id:4,4"],
+               None, b"10000000000 0 0\n"))
 @example(case=(["build", *Q4, "--code=file:@DIR@/"], None, b""))
 @example(case=(["build", "--config=@DIR@/instance.cfg"], b"q=4\nell=2\ncode=id:4,4\nq=8\n", b""))
 @example(case=(["gen-ground-set", "--out=@DIR@/out.txt", "--q=4", "--ground-set=file:@DIR@/bad.txt"],

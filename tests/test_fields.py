@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ulamcodes import fields
 from ulamcodes.errors import ParameterError
 from ulamcodes.fields import Field, factor_prime_power
 
@@ -252,6 +253,15 @@ def test_tables_match_raw_product_on_samples(order):
         assert f.mul(a, 0) == f.mul(0, a) == 0 and f.mul(a, 1) == f.mul(1, a) == a
     for a in range(1, order):
         assert f._mul_raw(a, f.inv(a)) == 1
+
+
+def test_order_above_the_limit_is_refused_before_factoring(monkeypatch):
+    # GF(4096), the largest order below, stays within the limit
+    assert fields.ORDER_LIMIT >= 4096
+    monkeypatch.setattr(fields, "factor_prime_power", None)
+    for order in (fields.ORDER_LIMIT + 1, 10**30):
+        with pytest.raises(ParameterError, match=f"field order {order} is above the limit"):
+            Field(order)
 
 
 @pytest.mark.parametrize("order", [512, 1024, 2187, 4096])

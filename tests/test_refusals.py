@@ -100,9 +100,16 @@ REFUSALS = {
         lambda tmp: uc.UlamCodeParams(4, 0, Q4_GROUND, Q4_CODE), ParameterError,
         "ell must be >= 1, got 0",
     ),
-    "UlamCodeParams empty ground": (
-        lambda tmp: uc.UlamCodeParams(4, 1, uc.GroundSet(4, []), uc.identity_code(2, 1)),
-        ParameterError, "ground set is empty",
+    "GroundSet empty": (
+        lambda tmp: uc.GroundSet(2000, []), ParameterError, "ground set is empty",
+    ),
+    "ground-set file with no permutation": (
+        lambda tmp: uc.load_ground_set(written(tmp, "2000 0 0\n")), ParameterError,
+        "ground set is empty",
+    ),
+    "Field order limit": (
+        lambda tmp: cli._parse_code("rs:2147483647,4,2"), ParameterError,
+        "field order 2147483647 is above the limit 65536",
     ),
     "run_stages no stage": (
         lambda tmp: uc.run_stages((), Q4_GROUND), ParameterError,
