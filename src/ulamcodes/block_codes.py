@@ -31,7 +31,6 @@ and all are safe for concurrent use.
 """
 from __future__ import annotations
 
-import itertools
 import sys
 from array import array
 from dataclasses import dataclass
@@ -316,6 +315,14 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
     top bit is set exactly when the candidate agrees with that word in
     more than length - d places, so one AND rejects it. The search-space
     limit keeps length <= 23, so a byte never overflows.
+
+    The scan is a depth-first walk over prefixes in the same order. Each
+    prefix's packed sum is its parent's plus one column, and a kept word
+    adds (start + j) to the sum at depth j, since it agrees with the
+    current path there. Agreements only grow as a prefix is extended and
+    kept words are never dropped, so a prefix whose sum has a top bit set
+    rejects every word below it, and its subtree is skipped; the walk
+    keeps exactly the words the word-by-word scan keeps, in its order.
     """
     alphabet_size, length, min_distance = _index_ints((alphabet_size, length, min_distance))
     if min_distance < 1 or min_distance > length:
@@ -327,24 +334,35 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
             f"search space {alphabet_size}^{length} exceeds {GV_SEARCH_LIMIT}"
         )
     cols = [[0] * alphabet_size for _ in range(length)]
-    last = cols[-1]
     start = 127 - (length - min_distance)
-    bias = top_bits = 0  # start and 0x80 in every kept word's byte
+    top_bits = 0  # 0x80 in every kept word's byte
     chosen: list[tuple[int, ...]] = []
-    # the prefix sum is shared by the alphabet_size words that extend it
-    for prefix in itertools.product(range(alphabet_size), repeat=length - 1):
-        partial = sum(map(list.__getitem__, cols, prefix), bias)
-        for s in range(alphabet_size):
-            if not (partial + last[s]) & top_bits:
-                word = prefix + (s,)
-                shift = 8 * len(chosen)
-                for col, x in zip(cols, word):
-                    col[x] += 1 << shift
-                bias += start << shift
-                top_bits += 0x80 << shift
-                # the new word agrees with its own prefix everywhere
-                partial += (start + length - 1) << shift
-                chosen.append(word)
+    path = [0] * length
+    # sums[j]: the packed agreements of path[:j], each byte offset by start
+    sums = [0] * length
+    symbols = range(alphabet_size)
+
+    def walk(j: int) -> None:
+        nonlocal top_bits
+        col = cols[j]
+        for s in symbols:
+            total = sums[j] + col[s]
+            if total & top_bits:
+                continue
+            path[j] = s
+            if j + 1 < length:
+                sums[j + 1] = total
+                walk(j + 1)
+                continue
+            shift = 8 * len(chosen)
+            for c, x in zip(cols, path):
+                c[x] += 1 << shift
+            for i in range(length):
+                sums[i] += (start + i) << shift
+            top_bits += 0x80 << shift
+            chosen.append(tuple(path))
+
+    walk(0)
     return ExplicitCode(alphabet_size, chosen, label=f"gv(d>={min_distance})")
 
 

@@ -22,6 +22,11 @@ it, as in the pairwise audit. The pairwise LCS table is kept, with a
 its triangle-inequality bounds through the two. Each permutation also
 gets an operator.itemgetter, so a shuffle stage reorders a group with
 one C call. No table changes afterwards.
+
+A set holds at most GROUND_SET_LIMIT permutations: GroundSet refuses a
+larger one before any pair is certified, and the brute-force search
+refuses the moment it would keep one more, so neither its p^2 LIS
+passes nor the p x p table can grow unbounded.
 """
 from __future__ import annotations
 
@@ -43,6 +48,14 @@ from .perm_core import (
     validate_permutation,
     write_int_rows,
 )
+
+GROUND_SET_LIMIT = 1024
+
+
+def _above_limit(p: int) -> ParameterError:
+    return ParameterError(
+        f"ground set of {p} permutations is above the limit {GROUND_SET_LIMIT}"
+    )
 
 
 @dataclass(frozen=True)
@@ -95,6 +108,8 @@ class GroundSet:
         if not perms:
             # refused before the per-symbol and (q+1) x (q+1) tables are built
             raise ParameterError("ground set is empty")
+        if len(perms) > GROUND_SET_LIMIT:
+            raise _above_limit(len(perms))
         for word in perms:
             validate_permutation(word, "ground permutation")
             if len(word) != q:
@@ -173,7 +188,8 @@ def brute_force_ground_set(
     seed, random permutations are sampled instead, up to sample_budget
     draws. Stops once target_p >= 1 permutations are found, or all q! of
     them; target_p=None keeps everything the greedy scan admits. Raises
-    ParameterError if the search ends before target_p is reached.
+    ParameterError if the search ends before target_p is reached, or if
+    the set would grow past GROUND_SET_LIMIT.
     """
     q, max_lcs, sample_budget = _index_ints((q, max_lcs, sample_budget))
     if target_p is not None:
@@ -184,6 +200,8 @@ def brute_force_ground_set(
         raise ParameterError(f"max_lcs must be >= 0, got {max_lcs}")
     if target_p is not None and target_p < 1:
         raise ParameterError(f"target_p must be >= 1, got {target_p}")
+    if target_p is not None and target_p > GROUND_SET_LIMIT:
+        raise _above_limit(target_p)
     bound = min(max_lcs, q - 1)  # a repeat has LCS q
     everything = math.factorial(q)  # once all are kept, every draw is a repeat
     chosen: list[tuple[int, ...]] = []
@@ -205,6 +223,8 @@ def brute_force_ground_set(
         # no validation: one position table per candidate, one pass per pair
         pos = inverse(word)
         if all(_lis_length(pos, c) <= bound for c in chosen):
+            if len(chosen) == GROUND_SET_LIMIT:
+                raise _above_limit(len(chosen) + 1)
             chosen.append(word)
             if len(chosen) in (target_p, everything):
                 break

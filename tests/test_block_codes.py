@@ -534,7 +534,12 @@ class TestPackedAgreements:
             assert code.decode_word(word) == nearest_codeword_scan(code, word)
 
     @pytest.mark.parametrize(
-        "alphabet,length,d", [(4, 8, 5), (2, 3, 2), (4, 4, 3), (2, 10, 3), (3, 7, 3), (2, 12, 4)]
+        "alphabet,length,d",
+        [
+            (4, 8, 5), (2, 3, 2), (4, 4, 3), (2, 10, 3), (3, 7, 3), (2, 12, 4),
+            # length 1, d = 1 (nothing pruned), d = length, alphabet > length
+            (2, 1, 1), (3, 2, 2), (8, 3, 2), (3, 5, 1), (4, 5, 5), (5, 4, 3), (2, 7, 7),
+        ],
     )
     def test_greedy_search_matches_loop(self, alphabet, length, d):
         assert list(greedy_gv_code(alphabet, length, d).codewords()) == greedy_gv_loop(

@@ -6,10 +6,12 @@ one "error:" line on a refusal, and lets no other exception escape.
 
 Instances stay small: q is 2, 4 or 8 (a junk q text is below 4), field
 orders are at most 256, greedy GV spaces at most 4^6, file integers at
-most 24, and the brute-force search runs only at q <= 4. Two larger
+most 24, and the brute-force search is drawn only at q <= 4. Two larger
 inputs are drawn because they must be refused before anything is built
 for them: a field order above fields.ORDER_LIMIT, and a ground-set file
-whose header names a q up to 10^10 and no permutation.
+whose header names a q up to 10^10 and no permutation. One pinned example
+runs the brute-force search at q = 8 with a bound that admits all 8!
+permutations; it must stop at ground_set.GROUND_SET_LIMIT.
 """
 import contextlib
 import io
@@ -168,6 +170,8 @@ Q4 = ["--q=4", "--ell=2", "--ground-set=xor:all"]
 @given(case=cli_cases())
 @example(case=(["build", *Q4, "--code=rs:16,4"], None, b""))
 @example(case=(["build", *Q4, "--code=rs:2147483647,4,2"], None, b""))
+@example(case=(["build", "--q=8", "--ell=2", "--ground-set=bruteforce:7", "--code=gv:4,8,5"],
+               None, b""))
 @example(case=(["build", "--q=4", "--ell=2", "--ground-set=file:@DIR@/bad.txt", "--code=id:4,4"],
                None, b"10000000000 0 0\n"))
 @example(case=(["build", *Q4, "--code=file:@DIR@/"], None, b""))

@@ -2,6 +2,7 @@
 Named refusals that the other tests do not reach: each case builds the
 refused input and checks the exception's type and message.
 """
+import itertools
 import re
 
 import pytest
@@ -102,6 +103,19 @@ REFUSALS = {
     ),
     "GroundSet empty": (
         lambda tmp: uc.GroundSet(2000, []), ParameterError, "ground set is empty",
+    ),
+    "GroundSet size limit": (
+        lambda tmp: uc.GroundSet(7, itertools.islice(itertools.permutations(range(7)), 1025)),
+        ParameterError, "ground set of 1025 permutations is above the limit 1024",
+    ),
+    "brute-force size limit": (
+        # at q = 8 the bound q - 1 admits every permutation; refused at the 1025th
+        lambda tmp: uc.brute_force_ground_set(8, None, 7), ParameterError,
+        "ground set of 1025 permutations is above the limit 1024",
+    ),
+    "brute-force target above the limit": (
+        lambda tmp: uc.brute_force_ground_set(4, 1025, 3), ParameterError,
+        "ground set of 1025 permutations is above the limit 1024",
     ),
     "ground-set file with no permutation": (
         lambda tmp: uc.load_ground_set(written(tmp, "2000 0 0\n")), ParameterError,
