@@ -14,10 +14,10 @@ their LCS is q, so the search never admits a repeat, and a set whose
 certified maximum LCS is q is refused as holding one.
 
 GroundSet(q, perms) is the one way to make a set, and it certifies
-exhaustively, so no set exists uncertified. The members are validated
-first; then each permutation's position table (its inverse) is built
-once, and each pair costs one LIS pass of the other permutation through
-it, as in the pairwise audit. The pairwise LCS table is kept, with a
+exhaustively, so no set exists uncertified. Validating a member
+builds its position table (its inverse) in the same pass; each pair then
+costs one LIS pass of the other permutation through it, as in the
+pairwise audit. The pairwise LCS table is kept, with a
 (q+1) x (q+1) table of gaps |q - d - l|; the decoder's group guess reads
 its triangle-inequality bounds through the two. Each permutation also
 gets an operator.itemgetter, so a shuffle stage reorders a group with
@@ -110,11 +110,12 @@ class GroundSet:
             raise ParameterError("ground set is empty")
         if len(perms) > GROUND_SET_LIMIT:
             raise _above_limit(len(perms))
+        positions = []
         for word in perms:
-            validate_permutation(word, "ground permutation")
+            positions.append(validate_permutation(word, "ground permutation"))
             if len(word) != q:
                 raise ParameterError(f"ground permutation of length {len(word)}, expected {q}")
-        pair_lcs, max_lcs, worst = _pairwise_lcs(perms)
+        pair_lcs, max_lcs, worst = _pairwise_lcs(perms, positions)
         if max_lcs == q:
             raise ParameterError(f"duplicate ground permutation {perms[worst[1]]!r}")
         by_first, by_last = [[] for _ in range(q)], [[] for _ in range(q)]
@@ -139,16 +140,16 @@ class GroundSet:
         return f"GroundSet(q={self.q}, p={self.p}, max_lcs={self.certified_max_lcs})"
 
 
-def _pairwise_lcs(perms: Sequence[tuple[int, ...]]):
+def _pairwise_lcs(perms: Sequence[tuple[int, ...]], positions: Sequence[tuple[int, ...]]):
     """
     The pairwise LCS table of perms, its off-diagonal max and the first
-    pair reaching it. perms must be permutations of one [q]: each pair is
-    one LIS of perms[j] through the position table of perms[i], with no
-    validation of its own.
+    pair reaching it. perms must be permutations of one [q], and
+    positions[i] the inverse of perms[i]: each pair is one LIS of
+    perms[j] through positions[i], with no validation of its own.
     """
     table = [[len(w)] * len(perms) for w in perms]
     max_lcs, worst = 0, None
-    for i, pos in enumerate(map(inverse, perms)):
+    for i, pos in enumerate(positions):
         for j in range(i + 1, len(perms)):
             l = table[i][j] = table[j][i] = _lis_length(pos, perms[j])
             if l > max_lcs:

@@ -27,6 +27,12 @@ ParameterError (a ValueError) naming the value. Every count, length,
 stage, base and order a caller passes is read by the same rule through
 _index_ints, and its range is checked where it is used.
 
+validate_permutation is the one permutation check. It returns the word's
+inverse, built in the same pass that checks the word, so a caller that
+needs the position table (the decoder, ground-set certification) gets it
+without a second pass; a word it refuses goes to the integer rule and
+check_distinct, whose message names the first fault.
+
 Every file is ASCII text read by read_lines, the one reader, which skips
 blank lines and raises a non-ASCII byte or any fault in a line as
 ParameterError prefixed path:line; the command line's config file too.
@@ -99,13 +105,37 @@ def _index_ints(values: Sequence[int], name: str = "parameter") -> tuple[int, ..
     return tuple(ints)
 
 
-def validate_permutation(word: Sequence[int], name: str = "permutation") -> None:
-    """Raise ValueError unless word is a permutation of [len(word)], naming its first fault."""
+def validate_permutation(word: Sequence[int], name: str = "permutation") -> tuple[int, ...]:
+    """
+    inverse(word), or ValueError naming the first fault unless word is a
+    permutation of [len(word)].
+
+    One pass writes inv[x] = i for each symbol x at position i. It
+    accepts when every write landed (no TypeError or IndexError), every
+    slot was written, and no symbol is negative: a negative symbol
+    indexes from the end, so (-1, 0) fills both slots. Anything else,
+    and an __index__ object min() cannot compare, goes to the integer
+    rule and check_distinct, which name the fault or accept.
+
+    >>> validate_permutation((2, 0, 1))
+    (1, 2, 0)
+    """
+    n = len(word)
+    inv = [-1] * n
+    try:
+        for i, x in enumerate(word):
+            inv[x] = i
+        if -1 not in inv and min(word, default=0) >= 0:
+            return tuple(inv)
+    except (TypeError, IndexError):
+        pass
     try:
         # n distinct ints in [0, n) are exactly [n]
-        check_distinct(_check_ints(word, len(word)), "it")
+        ints = _check_ints(word, n)
+        check_distinct(ints, "it")
     except ValueError as exc:
-        raise ValueError(f"{name} is not a permutation of [{len(word)}]: {exc}") from None
+        raise ValueError(f"{name} is not a permutation of [{n}]: {exc}") from None
+    return inverse(ints)
 
 
 def identity(n: int) -> tuple[int, ...]:

@@ -27,6 +27,12 @@ stage shufflers drawn as codewords of a Hamming-metric block code C over
 Distinct messages end up at Ulam distance at least
 C.min_distance * (q - max_lcs(D)).
 
+Encode and decode both start from one cached identity(n) per instance
+length, so every codeword is gathered from the same int objects: a
+symbol costs one 8-byte reference instead of a ~36-byte int of its own
+for symbols >= 257 (CPython shares the smaller ones). No result is the
+cached tuple itself, since every stage returns a new one.
+
 Decoding reverses the stages: at stage i each group's symbols are
 located in the received permutation, the ground permutation whose
 reordering of the reconstructed stage-(i-1) prefix best matches their
@@ -76,7 +82,7 @@ from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
 from .perm_core import (
-    _check_ints, _index_ints, from_digits, identity, inverse, to_digits, ulam_distance,
+    _check_ints, _index_ints, from_digits, identity, to_digits, ulam_distance,
     validate_permutation,
 )
 
@@ -92,6 +98,12 @@ def _stage_groups(q: int, ell: int, stage: int) -> tuple[slice, ...]:
         for hi in range(0, q**ell, q * step)
         for base in range(hi, hi + step)
     )
+
+
+@cache
+def _identity(n: int) -> tuple[int, ...]:
+    """identity(n), built once per instance length: every encode and decode starts here."""
+    return identity(n)
 
 
 @dataclass(frozen=True)
@@ -220,7 +232,12 @@ def run_stages(shufflers: Sequence[Sequence[int]], ground: GroundSet) -> tuple[i
     ell = len(shufflers)
     if ell < 1:
         raise ParameterError("need at least one stage")
-    pi = identity(ground.q**ell)
+    q, n = ground.q, ground.q**ell
+    # refused before the identity is built, so the cache holds no length
+    # that the first stage would refuse
+    if q * len(shufflers[0]) != n:
+        raise ParameterError(f"shuffler length {len(shufflers[0])} != n/q = {n // q}")
+    pi = _identity(n)
     for i, w in enumerate(shufflers, start=1):
         pi = apply_stage(pi, i, w, ground)
     return pi
@@ -342,13 +359,12 @@ def decode(pi: Sequence[int], params: UlamCodeParams) -> DecodeResult | DecodeFa
     partition bound keeps the guessed shuffler within the Hamming decoding
     radius of the true one for inputs inside the radius.
     """
-    validate_permutation(pi)
+    pos_of = validate_permutation(pi)
     q, ell, n = params.q, params.ell, params.n
     if len(pi) != n:
         raise ParameterError(f"permutation length {len(pi)} != n = {n}")
     ground = params.ground
-    pos_of = inverse(pi)
-    prev_star = identity(n)
+    prev_star = _identity(n)
     stage_indices = []
     for i in range(1, ell + 1):
         ranks = _rank_patterns(pos_of, prev_star, q, ell, i)

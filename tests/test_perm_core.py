@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from ulamcodes import cli, perm_core
 from ulamcodes.errors import ParameterError
 from ulamcodes.perm_core import (
+    _check_ints,
     _lis_length,
+    check_distinct,
     from_digits,
     identity,
     int_token,
@@ -39,6 +41,44 @@ def lcs_exhaustive(a, b):
             if all(s in it for s in sub):
                 return r
     return 0
+
+
+class Index:
+    """A symbol that is an integer only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+@st.composite
+def mutated_permutations(draw, max_n=8):
+    """
+    A permutation of [n], n >= 0, with up to three symbols mutated, as a
+    tuple or a list: each mutation writes a negative symbol (possibly
+    x - n in place of x, which fills x's slot from the end), n, a repeat,
+    a non-integer, a bool for 0 or 1, or an __index__ object.
+    """
+    n = draw(st.integers(0, max_n))
+    word = draw(st.permutations(list(range(n))))
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        i = draw(st.integers(0, n - 1))
+        x = word[i]
+        word[i] = draw(st.sampled_from([
+            x - n if type(x) is int else -1,
+            -draw(st.integers(1, n + 1)),
+            n,
+            word[draw(st.integers(0, n - 1))],
+            1.0, float("nan"), "1", None,
+            {0: False, 1: True}.get(x, x),
+            Index(x) if type(x) is int else x,
+        ]))
+    return draw(st.sampled_from([tuple(word), word]))
 
 
 def permutations_strategy(max_n=16):
@@ -324,6 +364,23 @@ class TestPermutationBasics:
                      (0, 0.5, 2), (0, 1.0, 2), (0, float("nan"), 2), (1.0,), (0, "1")]:
             with pytest.raises(ValueError, match="not a permutation"):
                 validate_permutation(word)
+
+    @given(mutated_permutations())
+    @example(())
+    @example((-1, 0))
+    @example([1, True, 0])
+    def test_validate_permutation_matches_the_integer_rule(self, word):
+        # the one-pass check accepts exactly what the integer rule and
+        # check_distinct accept, refuses with their message, and returns
+        # the inverse on acceptance
+        try:
+            check_distinct(_check_ints(word, len(word)), "it")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                validate_permutation(word)
+            assert str(got.value) == f"permutation is not a permutation of [{len(word)}]: {exc}"
+        else:
+            assert validate_permutation(word) == inverse(word)
 
     def test_refusals_name_the_first_fault_not_the_word(self):
         big = list(range(100_001))

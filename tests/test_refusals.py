@@ -129,6 +129,11 @@ REFUSALS = {
         lambda tmp: uc.run_stages((), Q4_GROUND), ParameterError,
         "need at least one stage",
     ),
+    # refused before the 4^40-symbol identity would be built
+    "run_stages stage count": (
+        lambda tmp: uc.run_stages(((0,),) * 40, Q4_GROUND), ParameterError,
+        f"shuffler length 1 != n/q = {4**39}",
+    ),
     "decode length": (
         lambda tmp: uc.decode(uc.identity(8), uc.UlamCodeParams(4, 2, Q4_GROUND, Q4_CODE)),
         ParameterError, "permutation length 8 != n = 16",

@@ -710,10 +710,12 @@ class TestDecode:
             uc.decode(tuple(rng.sample(range(64), 64)), params)
         assert repr(sorted(vars(ground).items())) == before
 
-    @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan")])
+    # 1 - n = -63 indexes the slot of the symbol 1 it replaces, so the word
+    # fills every slot of the position table and only its sign refuses it
+    @pytest.mark.parametrize("bad", [0.5, 1.0, float("nan"), -63])
     def test_float_symbol_is_value_error(self, q8_instance, bad):
-        # a float symbol is named as not a permutation, never left to raise
-        # a TypeError from the position table
+        # a float or negative symbol is named as not a permutation, never
+        # left to raise a TypeError or pass through the position table
         word = list(uc.encode(3, q8_instance))
         word[word.index(1)] = bad
         with pytest.raises(ValueError, match="not a permutation"):
