@@ -47,7 +47,7 @@ code = greedy_gv_code(4, 8, 5)
 params = UlamCodeParams(q=8, ell=2, ground=ground, code=code)
 print(f"\ninstance: {params}")
 print(f"pairwise distance bound : {params.distance_bound} "
-      f"(= {code.min_distance} * ({params.q} - {ground.certified_max_lcs}))")
+      f"(= {code.min_distance} * separation {ground.separation})")
 print(f"decoding guarantee      : below {params.decode_guarantee} relocations")
 print(f"rate lower bound        : {rate_report(params).rate_lower:.4f}")
 

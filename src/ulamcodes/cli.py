@@ -94,6 +94,8 @@ def resolve_ground_set(desc: str, q: int) -> GroundSet:
         r = q.bit_length() - 1
         if q != 1 << r:
             raise ParameterError(f"xor ground set needs q a power of two, got {q}")
+        # refused before the binary code of length log2(q) is built
+        ground_set._check_size(q)
         if rest == "all":
             g = block_codes.identity_code(2, r)
         elif rest.startswith("gv:"):

@@ -7,11 +7,11 @@ G of length log2(q) and maps each codeword g to the permutation
 sigma_g[i] = i XOR g; any two codewords agreeing on |I| bit positions
 yield permutations with LCS at most 2^|I|, so G's minimum distance caps
 the pairwise LCS at q / 2^dmin. The brute-force route greedily scans
-permutations of [q] (lexicographically, or random samples under a seeded
-budget) keeping those whose LCS with every kept permutation stays within
-a bound, capped at q - 1. Two permutations of [q] are equal exactly when
-their LCS is q, so the search never admits a repeat, and a set whose
-certified maximum LCS is q is refused as holding one.
+at most sample_budget permutations of [q] (lexicographically, or random
+samples under a seed) keeping those whose LCS with every kept permutation
+stays within a bound, capped at q - 1. Two permutations of [q] are equal
+exactly when their LCS is q, so the search never admits a repeat, and a
+set whose certified maximum LCS is q is refused as holding one.
 
 GroundSet(q, perms) is the one way to make a set, and it certifies
 exhaustively, so no set exists uncertified. Validating a member
@@ -23,10 +23,10 @@ its triangle-inequality bounds through the two. Each permutation also
 gets an operator.itemgetter, so a shuffle stage reorders a group with
 one C call. No table changes afterwards.
 
-A set holds at most GROUND_SET_LIMIT permutations: GroundSet refuses a
-larger one before any pair is certified, and the brute-force search
-refuses the moment it would keep one more, so neither its p^2 LIS
-passes nor the p x p table can grow unbounded.
+GROUND_SET_LIMIT bounds both q and p, so no table holds more than
+(GROUND_SET_LIMIT + 1)^2 entries: _check_size refuses a larger q before
+anything of size q is built, a larger set before any pair is certified,
+and a search the moment it would keep one more member.
 """
 from __future__ import annotations
 
@@ -52,10 +52,12 @@ from .perm_core import (
 GROUND_SET_LIMIT = 1024
 
 
-def _above_limit(p: int) -> ParameterError:
-    return ParameterError(
-        f"ground set of {p} permutations is above the limit {GROUND_SET_LIMIT}"
-    )
+def _check_size(q: int, p: int = 1) -> None:
+    """Refuse a set of p permutations of [q] when p or q is above GROUND_SET_LIMIT."""
+    if p > GROUND_SET_LIMIT:
+        raise ParameterError(f"ground set of {p} permutations is above the limit {GROUND_SET_LIMIT}")
+    if q > GROUND_SET_LIMIT:
+        raise ParameterError(f"ground set over [{q}] is above the limit {GROUND_SET_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ class GroundSet:
 
     certified_max_lcs is the largest LCS over distinct pairs (0 for
     p = 1) and worst_pair the first pair (i, j), i < j, that reaches it.
+    separation = q - certified_max_lcs is the least Ulam distance
+    between two members (q for p = 1).
     pair_lcs[i][j] is the LCS of perms[i] and perms[j] (q on the
     diagonal); by_first_symbol[s] (by_last_symbol[s]) lists, ascending,
     the indices of the permutations that start (end) with symbol s.
@@ -90,6 +94,7 @@ class GroundSet:
     q: int
     perms: tuple[tuple[int, ...], ...]
     certified_max_lcs: int = field(init=False)
+    separation: int = field(init=False, compare=False)
     worst_pair: tuple[int, int] | None = field(init=False)
     pair_lcs: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     by_first_symbol: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
@@ -108,8 +113,7 @@ class GroundSet:
         if not perms:
             # refused before the per-symbol and (q+1) x (q+1) tables are built
             raise ParameterError("ground set is empty")
-        if len(perms) > GROUND_SET_LIMIT:
-            raise _above_limit(len(perms))
+        _check_size(q, len(perms))
         positions = []
         for word in perms:
             positions.append(validate_permutation(word, "ground permutation"))
@@ -124,7 +128,7 @@ class GroundSet:
             by_last[w[-1]].append(c)
         for name, value in (
             ("q", q), ("perms", perms), ("pair_lcs", pair_lcs),
-            ("certified_max_lcs", max_lcs), ("worst_pair", worst),
+            ("certified_max_lcs", max_lcs), ("separation", q - max_lcs), ("worst_pair", worst),
             ("by_first_symbol", tuple(map(tuple, by_first))),
             ("by_last_symbol", tuple(map(tuple, by_last))),
             ("gathers", tuple(itemgetter(*w) for w in perms)),
@@ -166,6 +170,7 @@ def xor_ground_set(q: int, code: BlockCode) -> GroundSet:
     r = q.bit_length() - 1
     if q < 2 or q != 1 << r:
         raise ParameterError(f"q must be a power of two, got {q}")
+    _check_size(q)
     if code.alphabet_size != 2:
         raise ParameterError("XOR construction needs a binary code")
     if code.block_length != r:
@@ -185,12 +190,12 @@ def brute_force_ground_set(
     """
     Greedy search for permutations of [q] with pairwise LCS <= max_lcs.
 
-    Default mode scans all q! permutations in lexicographic order; with a
-    seed, random permutations are sampled instead, up to sample_budget
-    draws. Stops once target_p >= 1 permutations are found, or all q! of
-    them; target_p=None keeps everything the greedy scan admits. Raises
-    ParameterError if the search ends before target_p is reached, or if
-    the set would grow past GROUND_SET_LIMIT.
+    Default mode scans permutations in lexicographic order, with a seed
+    random samples; either mode draws at most sample_budget (the default
+    is above 8! = 40,320). Stops once target_p >= 1 permutations are
+    found, or all q! of them; target_p=None keeps everything the greedy
+    scan admits. Raises ParameterError if the search ends before target_p
+    is reached, or if q or the set would go past GROUND_SET_LIMIT.
     """
     q, max_lcs, sample_budget = _index_ints((q, max_lcs, sample_budget))
     if target_p is not None:
@@ -201,8 +206,7 @@ def brute_force_ground_set(
         raise ParameterError(f"max_lcs must be >= 0, got {max_lcs}")
     if target_p is not None and target_p < 1:
         raise ParameterError(f"target_p must be >= 1, got {target_p}")
-    if target_p is not None and target_p > GROUND_SET_LIMIT:
-        raise _above_limit(target_p)
+    _check_size(q, target_p or 1)
     bound = min(max_lcs, q - 1)  # a repeat has LCS q
     everything = math.factorial(q)  # once all are kept, every draw is a repeat
     chosen: list[tuple[int, ...]] = []
@@ -213,19 +217,19 @@ def brute_force_ground_set(
 
         def _sampled():
             base = list(range(q))
-            for _ in range(sample_budget):
+            while True:
                 rng.shuffle(base)
                 yield tuple(base)
 
         candidates = _sampled()
 
-    for word in candidates:
+    # range first, so no candidate is drawn past the budget
+    for _, word in zip(range(sample_budget), candidates):
         # candidates are permutations made here, so the LIS kernel needs
         # no validation: one position table per candidate, one pass per pair
         pos = inverse(word)
         if all(_lis_length(pos, c) <= bound for c in chosen):
-            if len(chosen) == GROUND_SET_LIMIT:
-                raise _above_limit(len(chosen) + 1)
+            _check_size(q, len(chosen) + 1)
             chosen.append(word)
             if len(chosen) in (target_p, everything):
                 break

@@ -25,7 +25,8 @@ Encoding folds ell such stages over the identity permutation, with the
 stage shufflers drawn as codewords of a Hamming-metric block code C over
 [p]; a message in [|C|^ell] picks the ell codewords by mixed radix.
 Distinct messages end up at Ulam distance at least
-C.min_distance * (q - max_lcs(D)).
+C.min_distance * ground.separation, the ground set's least pairwise
+Ulam distance.
 
 Encode and decode both start from one cached identity(n) per instance
 length, so every codeword is gathered from the same int objects: a
@@ -55,8 +56,8 @@ with r one symbol further in (sigma_c[1] = r[k+1] for a start at r[k],
 sigma_c[-2] = r[-2-k] for an end at r[-1-k]) are scored before the
 rest, each skipped when missing or ruled out by the bounds below. The
 order of scoring never changes the answer. A distance d
-below half the ground set's minimum pairwise distance q - max_lcs puts
-every other candidate farther, so that candidate is the answer.
+below half the ground set's separation (its minimum pairwise distance)
+puts every other candidate farther, so that candidate is the answer.
 Otherwise the search goes on by best-first elimination (E. Vidal's
 AESA, 1986): each scored candidate c
 at distance d bounds every x from below by |d - (q - LCS(sigma_c,
@@ -114,7 +115,7 @@ class UlamCodeParams:
     block length n/q.
 
     Derived: n = q^ell, message count M = |C|^ell, distance_bound =
-    C.min_distance * (q - max_lcs(D)) (a lower bound on the pairwise
+    C.min_distance * D.separation (a lower bound on the pairwise
     Ulam distance of distinct codewords), and decode_guarantee, the
     strict Ulam-weight threshold below which decoding is certain. With a
     shuffler code that uniquely decodes anything strictly below half its
@@ -169,13 +170,11 @@ class UlamCodeParams:
 
     @property
     def distance_bound(self) -> int:
-        return self.code.min_distance * (self.q - self.ground.certified_max_lcs)
+        return self.code.min_distance * self.ground.separation
 
     @property
     def decode_guarantee(self) -> Fraction:
-        per_stage = Fraction(
-            (self.code.decoding_radius + 1) * (self.q - self.ground.certified_max_lcs), 2
-        )
+        per_stage = Fraction((self.code.decoding_radius + 1) * self.ground.separation, 2)
         return min(Fraction(self.distance_bound, 4), per_stage)
 
     def __repr__(self) -> str:
@@ -296,8 +295,7 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
         if perms[c] == rank:
             return c
     pair_lcs, gaps = ground.pair_lcs, ground.gaps
-    q = len(rank)
-    separation = q - ground.certified_max_lcs
+    q, separation = len(rank), ground.separation
     # each anchor is the first candidate that starts with rank[k] or ends
     # with rank[-1-k], k = 0, 1, 2; the ones that also agree one symbol
     # further in are scored first. Below q = 4 that symbol can lie past

@@ -9,9 +9,12 @@ orders are at most 256, greedy GV spaces at most 4^6, file integers at
 most 24, and the brute-force search is drawn only at q <= 4. Two larger
 inputs are drawn because they must be refused before anything is built
 for them: a field order above fields.ORDER_LIMIT, and a ground-set file
-whose header names a q up to 10^10 and no permutation. One pinned example
-runs the brute-force search at q = 8 with a bound that admits all 8!
-permutations; it must stop at ground_set.GROUND_SET_LIMIT.
+whose header names a q up to 10^10 and no permutation. Pinned examples
+run the brute-force search at q = 8 with a bound that admits all 8!
+permutations, where it must stop at ground_set.GROUND_SET_LIMIT, and at
+q = 12 with a bound that admits one, where it must stop at its default
+budget instead of scanning 12!; and an XOR set over [2^20], refused by
+the same limit before its binary code is built.
 """
 import contextlib
 import io
@@ -171,6 +174,10 @@ Q4 = ["--q=4", "--ell=2", "--ground-set=xor:all"]
 @example(case=(["build", *Q4, "--code=rs:16,4"], None, b""))
 @example(case=(["build", *Q4, "--code=rs:2147483647,4,2"], None, b""))
 @example(case=(["build", "--q=8", "--ell=2", "--ground-set=bruteforce:7", "--code=gv:4,8,5"],
+               None, b""))
+@example(case=(["build", "--q=12", "--ell=2", "--ground-set=bruteforce:0", "--code=id:2,12"],
+               None, b""))
+@example(case=(["build", "--q=1048576", "--ell=2", "--ground-set=xor:gv:1", "--code=id:2,4"],
                None, b""))
 @example(case=(["build", "--q=4", "--ell=2", "--ground-set=file:@DIR@/bad.txt", "--code=id:4,4"],
                None, b"10000000000 0 0\n"))

@@ -2,9 +2,13 @@ import dataclasses
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ulamcodes import ground_set
 from ulamcodes.block_codes import greedy_gv_code, hamming_distance, identity_code
 from ulamcodes.errors import ParameterError
 from ulamcodes.ground_set import (
@@ -14,7 +18,7 @@ from ulamcodes.ground_set import (
     save_ground_set,
     xor_ground_set,
 )
-from ulamcodes.perm_core import lcs_length, lcs_length_dp, to_digits
+from ulamcodes.perm_core import lcs_length, lcs_length_dp, to_digits, ulam_distance
 from ulamcodes.ulam_code import UlamCodeParams
 
 
@@ -178,6 +182,46 @@ class TestBruteForce:
         assert ground.perms == tuple(chosen)
         assert ground.p > 2
 
+    def test_budget_bounds_the_lexicographic_scan(self):
+        # the bound q - 1 admits every distinct pair, so the set is the
+        # first three candidates, where the scan used to run through all 5!
+        ground = brute_force_ground_set(5, None, 4, sample_budget=3)
+        assert ground.p == 3
+        assert ground.perms == tuple(itertools.islice(itertools.permutations(range(5)), 3))
+
+    def test_default_budget_ends_a_scan_of_12_factorial(self, monkeypatch):
+        # no two permutations have LCS 0, so the first candidate is the only
+        # one kept; the scan stops after the default budget, not after 12!
+        candidates, inverse = [], ground_set.inverse
+
+        def counting_inverse(word):
+            candidates.append(word)
+            return inverse(word)
+
+        monkeypatch.setattr(ground_set, "inverse", counting_inverse)
+        message = "search exhausted with 1 permutations, target was 2 (q=12, max_lcs=0)"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            brute_force_ground_set(12, 2, 0)
+        assert len(candidates) == 100_000
+
+    def test_seeded_search_draws_no_candidate_past_the_budget(self, monkeypatch):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def shuffle(self, x):
+                draws.append(x)
+                super().shuffle(x)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        with pytest.raises(ParameterError, match="search exhausted with 1 permutations"):
+            brute_force_ground_set(5, 2, 0, seed=1, sample_budget=7)
+        assert len(draws) == 7
+
+    @pytest.mark.parametrize("seed", [None, 1])
+    def test_negative_budget_draws_nothing(self, seed):
+        with pytest.raises(ParameterError, match="search exhausted with 0 permutations"):
+            brute_force_ground_set(4, 1, 3, seed=seed, sample_budget=-1)
+
     def test_random_mode_deterministic(self):
         a = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)
         b = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)
@@ -221,7 +265,10 @@ class TestCertification:
             dataclasses.replace(ground, certified_max_lcs=0)
         with pytest.raises(TypeError):
             GroundSet(q=8, perms=ground.perms, certified_max_lcs=0)
-        derived = ("worst_pair", "pair_lcs", "by_first_symbol", "by_last_symbol", "gathers", "gaps")
+        derived = (
+            "separation", "worst_pair", "pair_lcs", "by_first_symbol", "by_last_symbol",
+            "gathers", "gaps",
+        )
         for name in derived:
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(ground, **{name: getattr(ground, name)})
@@ -266,6 +313,50 @@ class TestCertification:
             GroundSet(3, [(0, 1)])
         with pytest.raises(ValueError):
             GroundSet(3, [(0, 1, 1)])
+
+
+@st.composite
+def ground_sets(draw):
+    """An XOR set over [4], [8] or [16], a seeded brute-force set, or a shuffled subset of one."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([4, 8, 16]))
+        r = q.bit_length() - 1
+        ground = xor_ground_set(q, greedy_gv_code(2, r, draw(st.integers(1, r))))
+    else:
+        q = draw(st.sampled_from(range(2, 8)))
+        ground = brute_force_ground_set(
+            q, None, draw(st.sampled_from(range(q))), seed=draw(st.integers(0, 99)), sample_budget=40
+        )
+    if draw(st.booleans()):
+        members = draw(st.permutations(ground.perms))
+        ground = GroundSet(q, members[: draw(st.integers(1, len(members)))])
+    return ground
+
+
+class TestSeparation:
+    @settings(max_examples=60, deadline=None)
+    @given(ground=ground_sets())
+    def test_separation_is_the_least_pairwise_ulam_distance(self, ground):
+        pairs = itertools.combinations(ground.perms, 2)
+        assert ground.separation == min((ulam_distance(a, b) for a, b in pairs), default=ground.q)
+        if ground.p == 1:
+            assert ground.separation == ground.q
+
+    @pytest.mark.parametrize(
+        "instance, bound, guarantee",
+        [
+            ("swap_instance", 2, Fraction(1, 2)),
+            ("q4_instance", 4, Fraction(1)),
+            ("q8_instance", 30, Fraction(15, 2)),
+            ("concat_instance", 12, Fraction(2)),
+        ],
+    )
+    def test_distance_bound_is_code_distance_times_separation(
+        self, request, instance, bound, guarantee
+    ):
+        params = request.getfixturevalue(instance)
+        assert params.distance_bound == params.code.min_distance * params.ground.separation == bound
+        assert params.decode_guarantee == guarantee
 
 
 class TestCertificationOracle:

@@ -117,6 +117,27 @@ REFUSALS = {
         lambda tmp: uc.brute_force_ground_set(4, 1025, 3), ParameterError,
         "ground set of 1025 permutations is above the limit 1024",
     ),
+    "GroundSet q above the limit": (
+        lambda tmp: uc.GroundSet(2048, [range(2048)]), ParameterError,
+        "ground set over [2048] is above the limit 1024",
+    ),
+    "xor_ground_set q above the limit": (
+        lambda tmp: uc.xor_ground_set(2048, uc.identity_code(2, 11)), ParameterError,
+        "ground set over [2048] is above the limit 1024",
+    ),
+    "brute-force q above the limit": (
+        lambda tmp: uc.brute_force_ground_set(2048, None, 0), ParameterError,
+        "ground set over [2048] is above the limit 1024",
+    ),
+    "ground-set file q above the limit": (
+        lambda tmp: uc.load_ground_set(written(tmp, "2048 1 0\n" + " ".join(map(str, range(2048))))),
+        ParameterError, "ground set over [2048] is above the limit 1024",
+    ),
+    # refused before the 2^20-word binary code is built
+    "xor descriptor q above the limit": (
+        lambda tmp: cli.resolve_ground_set("xor:gv:1", 1 << 20), ParameterError,
+        "ground set over [1048576] is above the limit 1024",
+    ),
     "ground-set file with no permutation": (
         lambda tmp: uc.load_ground_set(written(tmp, "2000 0 0\n")), ParameterError,
         "ground set is empty",
