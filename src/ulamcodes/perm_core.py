@@ -3,9 +3,9 @@ Permutation strings, restriction, base-q position indexing, the Ulam
 distance, the integer rule, and the integer-row file format.
 
 Permutations of [n] = {0, ..., n-1} are handled in word form: the tuple
-(pi[0], ..., pi[n-1]). Distance computations accept the wider class of
-distinct-symbol strings, so restrictions of permutations to symbol subsets
-can be compared directly.
+(pi[0], ..., pi[n-1]). Distance computations accept any two
+distinct-symbol strings over one symbol set, so the restrictions of two
+permutations to one symbol subset can be compared directly.
 
 The Ulam distance of two strings over the same symbol set is the least
 number of single-symbol relocations turning one into the other, which
@@ -181,12 +181,11 @@ def _lis_length(pos: Sequence[int] | dict[int, int], word: Iterable[int]) -> int
 
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
     """
-    Length of a longest common subsequence of two distinct-symbol strings.
-
-    Symbols present in only one string are permitted (they can never
-    match). Shared symbols of b are relabeled by their position in a,
-    and the answer is the longest increasing subsequence of that
-    relabeling, found by patience sorting.
+    Length of a longest common subsequence of two distinct-symbol strings
+    over one symbol set: the longest increasing subsequence of b relabeled
+    by positions in a, found by patience sorting. ValueError names the
+    first fault, in this order: a repeat in a, a repeat in b, unequal
+    lengths, the first symbol of b that a lacks.
 
     >>> lcs_length((0, 1, 2, 3), (0, 1, 2, 3))
     4
@@ -199,15 +198,18 @@ def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
     if len(pos_in_a) != len(a):
         check_distinct(a, "first string")
     check_distinct(b, "second string")
+    if len(a) != len(b):
+        raise ValueError(f"strings have unequal lengths {len(a)} and {len(b)}")
     try:
         return _lis_length(pos_in_a, b)
-    except KeyError:  # b has symbols a lacks: they can never match
-        return _lis_length(pos_in_a, [sym for sym in b if sym in pos_in_a])
+    except KeyError as exc:
+        raise ValueError(f"second string has symbol {exc.args[0]!r}, not in the first") from None
 
 
 def lcs_length_dp(a: Sequence[int], b: Sequence[int]) -> int:
     """
-    The same LCS length by the classical O(|a|*|b|) dynamic program.
+    The same LCS length by the classical O(|a|*|b|) dynamic program, on
+    any two distinct-symbol strings.
 
     Retained permanently as an independent oracle for lcs_length; the two
     implementations share no code path.
@@ -230,18 +232,14 @@ def lcs_length_dp(a: Sequence[int], b: Sequence[int]) -> int:
 
 def ulam_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """
-    Ulam distance between two distinct-symbol strings over the same
-    symbol set: len(a) - lcs_length(a, b).
+    Ulam distance between two distinct-symbol strings over one symbol
+    set: len(a) - lcs_length(a, b), which also refuses any other pair.
 
     >>> ulam_distance((0, 1, 2, 3), (0, 1, 2, 3))
     0
     >>> ulam_distance((0, 1, 2, 3), (3, 2, 1, 0))
     3
     """
-    # lcs_length rejects repeated symbols, so equal lengths and b covering
-    # a mean equal symbol sets: one set here, one dict and one set there
-    if len(a) != len(b) or not set(b).issuperset(a):
-        raise ValueError("ulam_distance needs equal symbol sets")
     return len(a) - lcs_length(a, b)
 
 

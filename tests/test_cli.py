@@ -212,6 +212,16 @@ def test_distance_identical_files(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "0"
 
 
+def test_distance_of_unequal_lengths_exits_1(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_text("0 1 2\n")
+    b = tmp_path / "b.txt"
+    b.write_text("0 1 2 3\n")
+    assert main(["distance", str(a), str(b)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == ("error: strings have unequal lengths 3 and 4\n", "")
+
+
 def test_corrupt_deterministic(tmp_path, capsys):
     perm = tmp_path / "p.txt"
     perm.write_text("0 1 2 3 4 5 6 7\n")

@@ -3,7 +3,8 @@ The decoder contract as a property over small drawn instances.
 
 Ground sets are XOR, brute-force and explicit families; shuffler codes are
 greedy GV, Reed-Solomon, concatenated, repetition and one-codeword codes.
-On relocation noise and on arbitrary permutations:
+On relocation noise, on arbitrary permutations, and on the decode-gv64
+benchmark instance under stage-targeted noise:
 
 - an input strictly inside decode_guarantee of a codeword decodes to
   exactly that codeword's message;
@@ -14,7 +15,7 @@ On relocation noise and on arbitrary permutations:
 import itertools
 from functools import cache
 
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 import ulamcodes as uc
@@ -154,3 +155,76 @@ def test_arbitrary_permutations(params, data):
             word = uc.encode(x, params)
             if uc.ulam_distance(pi, word) < params.decode_guarantee:
                 assert result == uc.DecodeResult(x, word)
+
+
+# the decode-gv64 benchmark instance: q = 8, ell = 2, n = 64, a shuffler code
+# of radius 2 and a ground set of separation 6, so the guarantee is 15/2
+GV64 = uc.UlamCodeParams(
+    q=8, ell=2,
+    ground=uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2)),
+    code=uc.greedy_gv_code(4, 8, 5),
+)
+GV64_BLOCKS = GV64.code.decoding_radius + 1
+
+
+def step_toward(block, target):
+    """block after the first relocation that brings it one nearer target."""
+    d = uc.ulam_distance(block, target)
+    for i, j in itertools.product(range(len(block)), repeat=2):
+        moved = list(block)
+        moved.insert(j, moved.pop(i))
+        if uc.ulam_distance(moved, target) < d:
+            return moved
+    raise AssertionError("no relocation brings the block nearer")
+
+
+def stage_targeted(params, x, moves):
+    """
+    The codeword of message x after moves[j] relocations in each last-stage
+    block j in moves, toward the nearest other ground permutation.
+
+    At the last stage a group is a contiguous block of q positions, so a
+    relocation inside it changes only that block's rank pattern. After k
+    steps from sigma_c toward sigma_y the pattern is k from sigma_c and
+    d(sigma_c, sigma_y) - k from sigma_y: about half of that distance in
+    each of radius + 1 blocks makes one more shuffler error than the code
+    corrects.
+    """
+    q, perms = params.q, params.ground.perms
+    last = uc.message_to_shufflers(x, params)[-1]
+    noisy = list(uc.encode(x, params))
+    for j, count in moves.items():
+        sigma = perms[last[j]]
+        # the nearest other ground permutation, ties to the smallest index
+        near = min((p for p in perms if p != sigma), key=lambda p: uc.ulam_distance(sigma, p))
+        block = noisy[j * q:(j + 1) * q]
+        # block[k] is the symbol of x-index sigma[k]; target lists them in near's order
+        target = [block[sigma.index(v)] for v in near]
+        for _ in range(count):
+            block = step_toward(block, target)
+        noisy[j * q:(j + 1) * q] = block
+    return tuple(noisy)
+
+
+@given(
+    st.integers(0, GV64.message_count - 1),
+    st.lists(st.integers(0, GV64.n // GV64.q - 1), min_size=GV64_BLOCKS, max_size=GV64_BLOCKS,
+             unique=True),
+    st.lists(st.integers(0, GV64.ground.separation // 2 + 1), min_size=GV64_BLOCKS,
+             max_size=GV64_BLOCKS),
+)
+# t = 7 inside the guarantee, then t = 8, 9 and 12 past it
+@example(4095, [0, 1, 2], [3, 3, 1])
+@example(17, [1, 4, 6], [3, 3, 2])
+@example(0, [5, 6, 7], [3, 3, 3])
+@example(1234, [0, 3, 7], [4, 4, 4])
+@settings(max_examples=150, deadline=None)
+def test_stage_targeted_noise(x, blocks, counts):
+    word = uc.encode(x, GV64)
+    noisy = stage_targeted(GV64, x, dict(zip(blocks, counts)))
+    # each block moves along a geodesic, so the relocations add up
+    assert uc.ulam_distance(word, noisy) == sum(counts)
+    result = uc.decode(noisy, GV64)
+    assert_contract(GV64, noisy, result)
+    if sum(counts) < GV64.decode_guarantee:
+        assert result == uc.DecodeResult(x, word)

@@ -81,10 +81,17 @@ def mutated_permutations(draw, max_n=8):
     return draw(st.sampled_from([tuple(word), word]))
 
 
-def permutations_strategy(max_n=16):
+def permutation_pairs(max_n=16):
+    """Two permutations of one [n], 1 <= n <= max_n."""
     return st.integers(1, max_n).flatmap(
-        lambda n: st.permutations(list(range(n))).map(tuple)
+        lambda n: st.tuples(*[st.permutations(list(range(n))).map(tuple)] * 2)
     )
+
+
+def one_symbol_set(a, b):
+    """The contract of lcs_length and ulam_distance in plain Python: two
+    distinct-symbol strings over one symbol set."""
+    return len(set(a)) == len(a) and len(set(b)) == len(b) and set(a) == set(b)
 
 
 class TestLcs:
@@ -104,9 +111,13 @@ class TestLcs:
         assert lcs_length_dp((0, 1, 2, 3), (0, 1, 2, 3)) == 4
         assert lcs_length_dp((0, 1), (1, 0)) == 1
 
-    def test_disjoint_symbols_allowed(self):
-        assert lcs_length((0, 1), (2, 3)) == 0
-        assert lcs_length((0, 5, 1), (5, 9)) == 1
+    def test_disjoint_symbols_refused(self):
+        # lcs_length_dp, the oracle, still takes them
+        assert lcs_length_dp((0, 1), (2, 3)) == 0
+        with pytest.raises(ValueError, match="second string has symbol 2, not in the first"):
+            lcs_length((0, 1), (2, 3))
+        with pytest.raises(ValueError, match="strings have unequal lengths 3 and 2"):
+            lcs_length((0, 5, 1), (5, 9))
 
     def test_rejects_repeats(self):
         with pytest.raises(ValueError):
@@ -114,13 +125,14 @@ class TestLcs:
         with pytest.raises(ValueError):
             lcs_length_dp((0, 1), (1, 1))
 
-    @given(permutations_strategy(10), permutations_strategy(10))
-    def test_matches_exhaustive_small(self, a, b):
-        if len(a) <= 7 and len(b) <= 7:
-            assert lcs_length(a, b) == lcs_exhaustive(a, b)
+    @given(permutation_pairs(7))
+    def test_matches_exhaustive_small(self, pair):
+        a, b = pair
+        assert lcs_length(a, b) == lcs_exhaustive(a, b)
 
-    @given(permutations_strategy(64), permutations_strategy(64))
-    def test_oracle_equivalence(self, a, b):
+    @given(permutation_pairs(64))
+    def test_oracle_equivalence(self, pair):
+        a, b = pair
         assert lcs_length(a, b) == lcs_length_dp(a, b)
 
     def test_oracle_equivalence_bulk(self):
@@ -192,10 +204,9 @@ class TestUlamDistance:
         assert ulam_distance((0, 1, 2, 3), (0, 1, 2, 3)) == 1
         assert ulam_distance((0, 1, 2, 3), (3, 2, 1, 0)) == 4
 
-    @given(permutations_strategy(8), permutations_strategy(8))
-    def test_metric_axioms(self, a, b):
-        if len(a) != len(b):
-            return
+    @given(permutation_pairs(8))
+    def test_metric_axioms(self, pair):
+        a, b = pair
         d = ulam_distance(a, b)
         assert d == ulam_distance(b, a)
         assert (d == 0) == (a == b)
@@ -227,41 +238,53 @@ class TestUlamDistance:
 
 
 class TestErrorContract:
-    # lcs_length needs distinct symbols in each string; ulam_distance needs
-    # that and equal symbol sets. Nothing else is rejected.
-    LCS_BAD = [
+    # lcs_length and ulam_distance take two distinct-symbol strings over one
+    # symbol set and refuse every other pair; lcs_length_dp, the oracle,
+    # takes any two distinct-symbol strings
+    REPEATS = [
         ((0, 0, 1), (0, 1, 2)),
         ((0, 1, 2), (2, 1, 2)),
         ((5, 5), (5, 5)),
     ]
-    LCS_OK = [
-        ((0, 1), (2, 3)),
-        ((0, 5, 1), (5, 9)),
-        ((0, 1, 2), (2, 1)),
-        ((), (4, 3)),
-        ((), ()),
-    ]
-    ULAM_BAD = LCS_BAD + [
+    REFUSED = REPEATS + [
         ((0, 1, 2), (0, 1, 3)),
         ((0, 1, 2), (2, 1)),
         ((0, 1), (1, 0, 2)),
         ((0, 1), (0, 1, 1)),
         ((0, 1, 1), (1, 0)),
         ((), (0,)),
+        # different symbol sets, which lcs_length once took
+        ((0, 1), (2, 3)),
+        ((0, 5, 1), (5, 9)),
+        ((), (4, 3)),
+    ]
+    ACCEPTED = [
+        ((0, 1), (1, 0)),
+        ((0, 5, 1), (5, 1, 0)),
+        ((2, 7, 9), (7, 9, 2)),
+        ((4, 3), (4, 3)),
+        ((), ()),
     ]
 
-    @pytest.mark.parametrize("a, b", LCS_BAD)
+    @pytest.mark.parametrize("a, b", REFUSED)
     def test_lcs_rejects(self, a, b):
         with pytest.raises(ValueError):
             lcs_length(a, b)
         with pytest.raises(ValueError):
+            lcs_length(b, a)
+
+    @pytest.mark.parametrize("a, b", REPEATS)
+    def test_lcs_dp_rejects(self, a, b):
+        with pytest.raises(ValueError):
             lcs_length_dp(a, b)
 
-    @pytest.mark.parametrize("a, b", LCS_OK)
+    @pytest.mark.parametrize("a, b", ACCEPTED)
     def test_lcs_accepts(self, a, b):
-        assert lcs_length(a, b) == lcs_length_dp(a, b)
+        lcs = lcs_length_dp(a, b)
+        assert lcs_length(a, b) == lcs
+        assert ulam_distance(a, b) == len(a) - lcs
 
-    @pytest.mark.parametrize("a, b", ULAM_BAD)
+    @pytest.mark.parametrize("a, b", REFUSED)
     def test_ulam_rejects(self, a, b):
         with pytest.raises(ValueError):
             ulam_distance(a, b)
@@ -272,21 +295,40 @@ class TestErrorContract:
         st.lists(st.integers(0, 6), max_size=7),
         st.lists(st.integers(0, 6), max_size=7),
     )
+    @example([2, 0, 1], [0, 1, 2])
     @settings(max_examples=300)
     def test_raises_exactly_on_invalid_strings(self, a, b):
-        distinct = len(set(a)) == len(a) and len(set(b)) == len(b)
+        accepted = one_symbol_set(a, b)
         try:
             got = lcs_length(a, b)
         except ValueError:
-            assert not distinct
+            assert not accepted
         else:
-            assert distinct and got == lcs_length_dp(a, b)
+            assert accepted and got == lcs_length_dp(a, b)
         try:
             d = ulam_distance(a, b)
         except ValueError:
-            assert not (distinct and set(a) == set(b))
+            assert not accepted
         else:
-            assert distinct and set(a) == set(b) and d == len(a) - lcs_length_dp(a, b)
+            assert accepted and d == len(a) - got
+
+    @given(mutated_permutations(), mutated_permutations())
+    @example((0, 1), [True, 0])
+    @example((1.0, 0), (0, 1))
+    @example((-1, 0), (0, -1))
+    @example((Index(0),), (Index(0),))
+    @settings(max_examples=300)
+    def test_accepts_exactly_one_symbol_set(self, a, b):
+        # a bool or a float equal to an int is that int, as in a set; an
+        # __index__ object is only itself
+        if not one_symbol_set(a, b):
+            for distance in (lcs_length, ulam_distance):
+                with pytest.raises(ValueError):
+                    distance(a, b)
+            return
+        lcs = lcs_length_dp(a, b)
+        assert lcs_length(a, b) == lcs
+        assert ulam_distance(a, b) == len(a) - lcs
 
 
 class TestSubadditivity:

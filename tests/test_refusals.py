@@ -161,6 +161,23 @@ REFUSALS = {
     ),
 }
 
+# each pair also holds every fault later in the order lcs_length checks them
+STRING_PAIR_FAULTS = {
+    "repeat in the first string": (
+        (0, 0, 1), (1, 1, 5, 6), "first string repeats symbol 0 at positions 0 and 1",
+    ),
+    "repeat in the second string": (
+        (0, 1, 2), (1, 1, 5, 6), "second string repeats symbol 1 at positions 0 and 1",
+    ),
+    "unequal lengths": ((0, 1, 2), (3, 0, 1, 2), "strings have unequal lengths 3 and 4"),
+    "symbol sets": ((0, 1, 2), (0, 4, 3), "second string has symbol 4, not in the first"),
+}
+for fault, (a, b, message) in STRING_PAIR_FAULTS.items():
+    for distance in (uc.lcs_length, uc.ulam_distance):
+        REFUSALS[f"{distance.__name__} {fault}"] = (
+            lambda tmp, distance=distance, a=a, b=b: distance(a, b), ValueError, message,
+        )
+
 
 @pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
 def test_named_refusal(tmp_path, call, error, message):
