@@ -98,7 +98,9 @@ class ReedSolomonCode(BlockCode):
     S. Gao, "A new algorithm for decoding Reed-Solomon codes", 2003).
     Gao's degree bound certifies the radius: an accepted message
     polynomial agrees with the word except at the <= (n-k)/2 roots of the
-    error locator, so a decode is not re-encoded to check it.
+    error locator, so a decode is not re-encoded to check it. When the
+    Euclid loop takes no step, as for every codeword, the locator is 1 and
+    the remainder is read off as the message polynomial with no division.
     """
 
     def __init__(self, field: Field, n: int, k: int):
@@ -172,7 +174,8 @@ class ReedSolomonCode(BlockCode):
             quot, rem = _poly_divmod(f, prev, g)
             prev, g = g, rem
             v_prev, v = v, _poly_sub_mul(f, v_prev, quot, v)
-        msg_poly, rem = _poly_divmod(f, g, v)
+        # with no Euclid step v is 1, as for every codeword, and g is the quotient
+        msg_poly, rem = (g, ()) if v == [1] else _poly_divmod(f, g, v)
         # deg v = n - deg prev <= (n - k)/2 and g = v * g1 at every point, so a
         # quotient of degree < k misses the word only at roots of v: in radius
         if any(rem):

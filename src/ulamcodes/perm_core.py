@@ -212,7 +212,9 @@ def lcs_length_dp(a: Sequence[int], b: Sequence[int]) -> int:
     any two distinct-symbol strings.
 
     Retained permanently as an independent oracle for lcs_length; the two
-    implementations share no code path.
+    implementations share no code path. Symbols match as dict keys do, by
+    identity or equality, so one shared nan object matches itself here as
+    it does in lcs_length.
     """
     check_distinct(a, "first string")
     check_distinct(b, "second string")
@@ -220,8 +222,8 @@ def lcs_length_dp(a: Sequence[int], b: Sequence[int]) -> int:
     prev = [0] * (m + 1)
     for x in a:
         cur = [0] * (m + 1)
-        for j in range(1, m + 1):
-            if x == b[j - 1]:
+        for j, y in enumerate(b, 1):
+            if x is y or x == y:
                 cur[j] = prev[j - 1] + 1
             else:
                 pj, cj = prev[j], cur[j - 1]

@@ -54,7 +54,9 @@ becomes r[0] or r[-1] and hides the sent candidate from that end, more
 rarely from both ends or from the next place in. Anchors that also agree
 with r one symbol further in (sigma_c[1] = r[k+1] for a start at r[k],
 sigma_c[-2] = r[-2-k] for an end at r[-1-k]) are scored before the
-rest, each skipped when missing or ruled out by the bounds below. The
+rest, each skipped when missing or ruled out by the bounds below. When
+the first start anchor agrees so, it is scored before the other anchors
+are looked up, since its score alone mostly settles the group. The
 order of scoring never changes the answer. A distance d
 below half the ground set's separation (its minimum pairwise distance)
 puts every other candidate farther, so that candidate is the answer.
@@ -284,10 +286,12 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
     pattern (a permutation of [q]); ties go to the smallest c. The
     anchors named by rank[0], rank[-1], rank[1], rank[-2], rank[2] and
     rank[-3] are scored first, those that agree with rank one symbol
-    further in ahead of the rest; then the best-first elimination search
-    of the module docstring runs from their bounds. Each candidate scored
-    is one call of the module-level ulam_distance, and every other
-    candidate is ruled out by a bound.
+    further in ahead of the rest; the first start anchor, when it agrees
+    at rank[1], is scored before the others are looked up, and they are
+    looked up only when it does not settle the group. Then the best-first
+    elimination search of the module docstring runs from their bounds.
+    Each candidate scored is one call of the module-level ulam_distance,
+    and every other candidate is ruled out by a bound.
     """
     perms, first, last = ground.perms, ground.by_first_symbol, ground.by_last_symbol
     starts = first[rank[0]]
@@ -296,27 +300,36 @@ def _best_symbol(rank: tuple[int, ...], ground: GroundSet) -> int:
             return c
     pair_lcs, gaps = ground.pair_lcs, ground.gaps
     q, separation = len(rank), ground.separation
-    # each anchor is the first candidate that starts with rank[k] or ends
-    # with rank[-1-k], k = 0, 1, 2; the ones that also agree one symbol
-    # further in are scored first. Below q = 4 that symbol can lie past
-    # the pattern, and a set of at most 3! members needs no anchor.
-    agree, other = [], []
-    if q > 3:
-        for cs, at, symbol in (
-            (starts, 1, rank[1]), (last[rank[-1]], -2, rank[-2]),
-            (first[rank[1]], 1, rank[2]), (last[rank[-2]], -2, rank[-3]),
-            (first[rank[2]], 1, rank[3]), (last[rank[-3]], -2, rank[-4]),
-        ):
-            if cs:
-                (agree if perms[cs[0]][at] == symbol else other).append(cs[0])
-    # popped from the end, so the agreeing anchors go first
-    anchors = agree + other
-    anchors.reverse()
+    # the first start anchor that also agrees at rank[1] is the first anchor
+    # scored, and it mostly settles the group alone, so it is scored before
+    # the other anchors are looked up. Their list names it again, and the
+    # skip below passes over it, as over every scored candidate.
+    anchors = [starts[0]] if starts and perms[starts[0]][1] == rank[1] else []
+    looked_up = False
     # lower[x] <= d(rank, sigma_x), with equality for every scored x, so no
     # scored candidate is picked again; best_d starts above every distance
     lower = [0] * len(perms)
     best, best_d = 0, q + 1
     while True:
+        if not (anchors or looked_up):
+            looked_up = True
+            # each anchor is the first candidate that starts with rank[k] or
+            # ends with rank[-1-k], k = 0, 1, 2; the ones that also agree one
+            # symbol further in are scored first. Below q = 4 that symbol can
+            # lie past the pattern, and a set of at most 3! members needs no
+            # anchor.
+            agree, other = [], []
+            if q > 3:
+                for cs, at, symbol in (
+                    (starts, 1, rank[1]), (last[rank[-1]], -2, rank[-2]),
+                    (first[rank[1]], 1, rank[2]), (last[rank[-2]], -2, rank[-3]),
+                    (first[rank[2]], 1, rank[3]), (last[rank[-3]], -2, rank[-4]),
+                ):
+                    if cs:
+                        (agree if perms[cs[0]][at] == symbol else other).append(cs[0])
+            # popped from the end, so the agreeing anchors go first
+            anchors = agree + other
+            anchors.reverse()
         if anchors:
             x = anchors.pop()
             if lower[x] > best_d or (lower[x] == best_d and x >= best):

@@ -20,6 +20,7 @@ from ulamcodes.block_codes import (
     rs_code,
     save_explicit_code,
 )
+from ulamcodes import block_codes
 from ulamcodes.block_codes import _poly_divmod
 from ulamcodes.errors import ParameterError
 from ulamcodes.perm_core import from_digits, to_digits
@@ -359,6 +360,65 @@ class TestGaoAgainstBerlekampWelch:
         x = rng.randrange(code.size)
         digits = to_digits(x, field_order, k)
         assert code.encode_index(x) == tuple(horner(f, digits, a) for a in code.points)
+
+
+def _count_divisions(monkeypatch, code):
+    """Calls of _poly_divmod made from here on, after the code's first
+    decode has built its interpolation tables."""
+    code.decode_word(code.encode_index(0))
+    calls = []
+    real = block_codes._poly_divmod
+    monkeypatch.setattr(block_codes, "_poly_divmod", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+class TestGaoWithoutEuclidStep:
+    """A word whose interpolation already has 2*deg < n + k takes no Euclid
+    step; its message polynomial is read off with no division."""
+
+    @pytest.mark.parametrize("field_order,n,k", [(4, 4, 2), (5, 5, 2), (7, 6, 3)])
+    def test_every_codeword_decodes_without_division(self, monkeypatch, field_order, n, k):
+        code = rs_code(field_order, n, k)
+        calls = _count_divisions(monkeypatch, code)
+        assert [code.decode_word(code.encode_index(x)) for x in range(code.size)] == list(
+            range(code.size)
+        )
+        assert calls == []
+
+    def test_sampled_rs1024_stage_codewords_decode_without_division(self, monkeypatch):
+        # the shuffler code of the n = 1024 benchmark rung
+        code = rs_code(32, 32, 16)
+        calls = _count_divisions(monkeypatch, code)
+        rng = random.Random(32)
+        for x in [0, 1, code.size - 1] + [rng.randrange(code.size) for _ in range(50)]:
+            assert code.decode_word(code.encode_index(x)) == x
+        assert calls == []
+
+    @pytest.mark.parametrize("field_order,n,k", [(5, 5, 1), (5, 5, 2), (32, 32, 16), (9, 8, 3)])
+    def test_high_degree_without_euclid_step_still_fails(self, monkeypatch, field_order, n, k):
+        # degrees k .. ceil((n+k)/2) - 1: no Euclid step, and the quotient
+        # of degree >= k is refused as before
+        code = rs_code(field_order, n, k)
+        f = code.field
+        calls = _count_divisions(monkeypatch, code)
+        rng = random.Random(field_order * 100 + n)
+        for degree in range(k, (n + k + 1) // 2):
+            poly = [rng.randrange(field_order) for _ in range(degree)] + [
+                rng.randrange(1, field_order)
+            ]
+            word = tuple(horner(f, poly, a) for a in code.points)
+            assert code.decode_word(word) == DecodeFailure(
+                f"message polynomial has degree {degree} >= k = {k}"
+            )
+        assert calls == []
+
+    def test_words_with_errors_still_divide(self, monkeypatch):
+        code = rs_code(32, 32, 16)
+        calls = _count_divisions(monkeypatch, code)
+        word = list(code.encode_index(12345))
+        word[3] ^= 1
+        assert code.decode_word(word) == 12345
+        assert calls
 
 
 class TestGreedyGv:

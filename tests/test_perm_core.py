@@ -111,6 +111,13 @@ class TestLcs:
         assert lcs_length_dp((0, 1, 2, 3), (0, 1, 2, 3)) == 4
         assert lcs_length_dp((0, 1), (1, 0)) == 1
 
+    def test_symbols_match_as_dict_keys_do(self):
+        # one shared nan object is not == itself, but a dict finds it by
+        # identity; the oracle matches the same way
+        n = float("nan")
+        assert lcs_length((n, 0), (n, 0)) == 2
+        assert lcs_length_dp((n, 0), (n, 0)) == 2
+
     def test_disjoint_symbols_refused(self):
         # lcs_length_dp, the oracle, still takes them
         assert lcs_length_dp((0, 1), (2, 3)) == 0

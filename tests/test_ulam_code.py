@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -515,9 +516,9 @@ def _index_order_scan(rank, ground):
     return best
 
 
-def _calls_per_rank(monkeypatch, ground, ranks):
-    """Distance calls per rank pattern of _best_symbol, after checking
-    each answer against the full scan's argmin."""
+def _distance_calls(monkeypatch, ground, ranks):
+    """Distance calls of _best_symbol over all the rank patterns, after
+    checking each answer against the full scan's argmin."""
     expected = [
         min(range(ground.p), key=lambda c: (ulam_distance(rank, ground.perms[c]), c))
         for rank in ranks
@@ -526,7 +527,7 @@ def _calls_per_rank(monkeypatch, ground, ranks):
     real = ulam_code.ulam_distance
     monkeypatch.setattr(ulam_code, "ulam_distance", lambda a, b: calls.append(1) or real(a, b))
     assert [_best_symbol(rank, ground) for rank in ranks] == expected
-    return len(calls) / len(ranks)
+    return len(calls)
 
 
 class TestPrunedGuess:
@@ -614,6 +615,8 @@ class TestPrunedGuess:
         calls.clear()
         assert [_best_symbol(rank, ground) for rank in ranks] == expected
         assert len(calls) <= scan_calls / 2
+        # pinned: a change to the order of scoring shows here first
+        assert len(calls) == 650
 
     def test_anchors_find_end_moved_ranks_in_few_calls(self, monkeypatch):
         # 1-3 symbols moved to either end: the candidate named by rank[-1]
@@ -628,7 +631,8 @@ class TestPrunedGuess:
             )
             for _ in range(500)
         ]
-        assert _calls_per_rank(monkeypatch, ground, ranks) <= 1.5
+        # pinned (1.1 calls per rank): a change to the order of scoring shows here
+        assert _distance_calls(monkeypatch, ground, ranks) == 553
 
     def test_anchors_find_ranks_moved_to_both_ends_in_few_calls(self, monkeypatch):
         # a symbol moved to each end, then 0-2 more to either: rank[0] and
@@ -643,7 +647,39 @@ class TestPrunedGuess:
             )
             for _ in range(500)
         ]
-        assert _calls_per_rank(monkeypatch, ground, ranks) <= 1.5
+        # pinned (1.2 calls per rank): a change to the order of scoring shows here
+        assert _distance_calls(monkeypatch, ground, ranks) == 596
+
+    @pytest.mark.parametrize("ground", [XOR_GROUNDS[1], XOR_GROUNDS[4]])
+    def test_first_start_anchor_settles_one_move_past_the_first_two_places(
+        self, ground, monkeypatch
+    ):
+        # rank[0] and rank[1] stay put, so the first start anchor agrees and
+        # is the member, at distance 1, inside half the separation: one
+        # distance call, and no end anchor is looked up
+        class Lookups(tuple):
+            def __getitem__(self, i):
+                looked_up.append(i)
+                return tuple.__getitem__(self, i)
+
+        looked_up = []
+        names = ("perms", "by_first_symbol", "pair_lcs", "gaps", "separation")
+        watched = types.SimpleNamespace(
+            **{name: getattr(ground, name) for name in names},
+            by_last_symbol=Lookups(ground.by_last_symbol),
+        )
+        q = ground.q
+        ranks, members = [], []
+        for c, sigma in enumerate(ground.perms):
+            for src, dst in itertools.permutations(range(2, q), 2):
+                ranks.append(_relocated(sigma, [(src, dst)]))
+                members.append(c)
+        calls = []
+        real = ulam_code.ulam_distance
+        monkeypatch.setattr(ulam_code, "ulam_distance", lambda a, b: calls.append(1) or real(a, b))
+        assert [_best_symbol(rank, watched) for rank in ranks] == members
+        assert len(calls) == len(ranks)
+        assert looked_up == []
 
     def test_exact_match_needs_no_distance_call(self, q8_instance, monkeypatch):
         calls = []
