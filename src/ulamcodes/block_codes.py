@@ -12,7 +12,8 @@ codeword lies within ``decoding_radius`` of the input.
 
 Every symbol and message index a code takes is checked by the one
 integer rule of ``perm_core._check_ints``, and every size parameter is
-read by it through ``_index_ints``; a bad one raises ParameterError.
+read by the same rule through ``perm_core._at_least``, which names the
+parameter; a bad one raises ParameterError.
 
 Available constructions: Reed-Solomon with Gao decoding, explicit
 codeword lists such as the greedy Gilbert-Varshamov codes with
@@ -40,7 +41,7 @@ from typing import Iterator, Sequence
 from .errors import ParameterError
 from .fields import Field
 from .perm_core import (
-    _check_ints, _index_ints, from_digits, read_int_rows, to_digits, write_int_rows
+    _at_least, _check_ints, from_digits, read_int_rows, to_digits, write_int_rows
 )
 
 GV_SEARCH_LIMIT = 10_000_000
@@ -104,12 +105,12 @@ class ReedSolomonCode(BlockCode):
     """
 
     def __init__(self, field: Field, n: int, k: int):
-        n, k = _index_ints((n, k))
+        n, k = _at_least(n, 1, "n"), _at_least(k, 1, "k")
         if n > field.order:
             raise ParameterError(
                 f"block length {n} exceeds field order {field.order}"
             )
-        if not 1 <= k <= n:
+        if k > n:
             raise ParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
         self.field = field
         self.alphabet_size = field.order
@@ -240,9 +241,7 @@ class ExplicitCode(BlockCode):
     """
 
     def __init__(self, alphabet_size: int, words: Sequence[Sequence[int]], label: str = "explicit"):
-        (alphabet_size,) = _index_ints((alphabet_size,))
-        if alphabet_size < 2:
-            raise ParameterError(f"alphabet size must be >= 2, got {alphabet_size}")
+        alphabet_size = _at_least(alphabet_size, 2, "alphabet_size")
         if not words:
             raise ParameterError("explicit code needs at least one codeword")
         tup = tuple(_check_ints(w, alphabet_size) for w in words)
@@ -327,8 +326,10 @@ def greedy_gv_code(alphabet_size: int, length: int, min_distance: int) -> Explic
     rejects every word below it, and its subtree is skipped; the walk
     keeps exactly the words the word-by-word scan keeps, in its order.
     """
-    alphabet_size, length, min_distance = _index_ints((alphabet_size, length, min_distance))
-    if min_distance < 1 or min_distance > length:
+    alphabet_size = _at_least(alphabet_size, 2, "alphabet_size")
+    length = _at_least(length, 1, "length")
+    min_distance = _at_least(min_distance, 1, "min_distance")
+    if min_distance > length:
         raise ParameterError(
             f"need 1 <= min_distance <= length, got d={min_distance}, length={length}"
         )
@@ -431,9 +432,8 @@ class IdentityCode(BlockCode):
     """Every word is a codeword (rate 1, distance 1, radius 0)."""
 
     def __init__(self, alphabet_size: int, block_length: int):
-        alphabet_size, block_length = _index_ints((alphabet_size, block_length))
-        if alphabet_size < 2 or block_length < 1:
-            raise ParameterError("identity code needs alphabet >= 2 and length >= 1")
+        alphabet_size = _at_least(alphabet_size, 2, "alphabet_size")
+        block_length = _at_least(block_length, 1, "block_length")
         self.alphabet_size = alphabet_size
         self.block_length = block_length
         self.size = alphabet_size**block_length
@@ -452,9 +452,8 @@ class IdentityCode(BlockCode):
 
 def repetition_code(alphabet_size: int, block_length: int) -> ExplicitCode:
     """The alphabet_size constant words of length block_length, as an explicit code."""
-    alphabet_size, block_length = _index_ints((alphabet_size, block_length))
-    if alphabet_size < 2 or block_length < 1:
-        raise ParameterError("repetition code needs alphabet >= 2 and length >= 1")
+    alphabet_size = _at_least(alphabet_size, 2, "alphabet_size")
+    block_length = _at_least(block_length, 1, "block_length")
     words = [(s,) * block_length for s in range(alphabet_size)]
     return ExplicitCode(alphabet_size, words, label="repetition")
 

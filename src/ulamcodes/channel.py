@@ -12,7 +12,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm_core import _check_ints, _index_ints, read_int_rows, validate_permutation, write_int_rows
+from .perm_core import (
+    _at_least, _check_ints, identity, read_int_rows, validate_permutation, write_int_rows
+)
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,8 @@ def relocate(
     """
     validate_permutation(pi)
     n = len(pi)
-    (t,) = _index_ints((t,))
-    if not 0 <= t <= n:
+    t = _at_least(t, 0, "t")
+    if t > n:
         raise ValueError(f"relocation count must be in 0..{n}, got {t}")
     rng = random.Random(seed)
     trace = RelocationTrace(tuple((rng.randrange(n), rng.randrange(n)) for _ in range(t)))
@@ -54,11 +56,8 @@ def relocate(
 
 def random_permutation(n: int, seed: int) -> tuple[int, ...]:
     """Uniform permutation of [n] by a seeded Fisher-Yates shuffle."""
-    (n,) = _index_ints((n,))
-    if n < 1:
-        raise ValueError(f"permutation length must be >= 1, got {n}")
+    word = list(identity(n))
     rng = random.Random(seed)
-    word = list(range(n))
     rng.shuffle(word)
     return tuple(word)
 

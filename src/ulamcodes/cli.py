@@ -43,7 +43,7 @@ from . import block_codes, channel, ground_set, perm_core, ulam_code, verify
 from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
-from .perm_core import int_token
+from .perm_core import _at_least, int_token
 
 
 # config-file keys, each the destination of its flag
@@ -82,8 +82,7 @@ def _descriptor_ints(desc: str, fields: list[str], shape: str, arities: tuple[in
 
 
 def resolve_ground_set(desc: str, q: int) -> GroundSet:
-    if q < 2:
-        raise ParameterError(f"q must be >= 2, got {q}")
+    q = _at_least(q, 2, "q")
     kind, _, rest = desc.partition(":")
     if kind == "file":
         loaded = ground_set.load_ground_set(rest)
@@ -172,8 +171,7 @@ def _ground(args) -> GroundSet:
 def _params(args) -> ulam_code.UlamCodeParams:
     if args.q is None or args.ell is None:
         raise ParameterError("instance needs q and ell (flags or config file)")
-    if args.ell < 1:
-        raise ParameterError(f"ell must be >= 1, got {args.ell}")
+    _at_least(args.ell, 1, "ell")
     ground = _ground(args)
     if args.code is None:
         raise ParameterError("instance needs a block-code descriptor")
@@ -332,8 +330,8 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.sample is not None and args.sample < 1:
-        raise ParameterError(f"--sample must be >= 1, got {args.sample}")
+    if args.sample is not None:
+        _at_least(args.sample, 1, "--sample")
     params = _params(args)
     report = verify.audit_pairwise(params, sample_pairs=args.sample, seed=args.seed)
     # timings stay out of CLI output so identical inputs print identical bytes
@@ -342,8 +340,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.trials < 1:
-        raise ParameterError(f"--trials must be >= 1, got {args.trials}")
+    _at_least(args.trials, 1, "--trials")
     params = _params(args)
     t_values = _parse_flag(
         "--t-list", args.t_list,

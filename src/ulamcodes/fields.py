@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from typing import Sequence
 
 from .errors import ParameterError
-from .perm_core import _check_ints, _index_ints
+from .perm_core import _at_least, _check_ints
 
 _TABLE_LIMIT = 256
 ORDER_LIMIT = 1 << 16
@@ -44,8 +44,7 @@ ORDER_LIMIT = 1 << 16
 
 def factor_prime_power(order: int) -> tuple[int, int]:
     """Return (p, m) with order = p^m and p prime, or raise ParameterError."""
-    if order < 2:
-        raise ParameterError(f"field order must be >= 2, got {order}")
+    order = _at_least(order, 2, "field order")
     p = 2
     while p * p <= order:
         if order % p == 0:
@@ -65,7 +64,7 @@ class Field:
     """Arithmetic in GF(p^m); element values are ints in [0, order)."""
 
     def __init__(self, order: int):
-        (order,) = _index_ints((order,))
+        order = _at_least(order, 2, "field order")
         if order > ORDER_LIMIT:
             raise ParameterError(f"field order {order} is above the limit {ORDER_LIMIT}")
         p, m = factor_prime_power(order)

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 from .block_codes import BlockCode
 from .errors import ParameterError
 from .perm_core import (
-    _index_ints,
+    _at_least,
     _lis_length,
     from_digits,
     inverse,
@@ -103,9 +103,7 @@ class GroundSet:
     gaps: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        (q,) = _index_ints((self.q,))
-        if q < 2:
-            raise ParameterError(f"q must be >= 2, got {q}")
+        q = _at_least(self.q, 2, "q")
         try:
             perms = tuple(map(tuple, self.perms))
         except TypeError:
@@ -166,9 +164,9 @@ def xor_ground_set(q: int, code: BlockCode) -> GroundSet:
     Build {sigma_g : g in code} with sigma_g[i] = i XOR value(g), for q a
     power of two and a binary code of block length log2(q).
     """
-    (q,) = _index_ints((q,))
+    q = _at_least(q, 2, "q")
     r = q.bit_length() - 1
-    if q < 2 or q != 1 << r:
+    if q != 1 << r:
         raise ParameterError(f"q must be a power of two, got {q}")
     _check_size(q)
     if code.alphabet_size != 2:
@@ -197,15 +195,11 @@ def brute_force_ground_set(
     scan admits. Raises ParameterError if the search ends before target_p
     is reached, or if q or the set would go past GROUND_SET_LIMIT.
     """
-    q, max_lcs, sample_budget = _index_ints((q, max_lcs, sample_budget))
+    q = _at_least(q, 2, "q")
     if target_p is not None:
-        (target_p,) = _index_ints((target_p,))
-    if q < 2:
-        raise ParameterError(f"q must be >= 2, got {q}")
-    if max_lcs < 0:
-        raise ParameterError(f"max_lcs must be >= 0, got {max_lcs}")
-    if target_p is not None and target_p < 1:
-        raise ParameterError(f"target_p must be >= 1, got {target_p}")
+        target_p = _at_least(target_p, 1, "target_p")
+    max_lcs = _at_least(max_lcs, 0, "max_lcs")
+    sample_budget = _at_least(sample_budget, 1, "sample_budget")
     _check_size(q, target_p or 1)
     bound = min(max_lcs, q - 1)  # a repeat has LCS q
     everything = math.factorial(q)  # once all are kept, every draw is a repeat

@@ -19,13 +19,14 @@ one comparison per symbol; the O(m log m) worst case is unchanged. The
 quadratic dynamic program is kept alongside permanently as an
 independent oracle.
 
-The integer rule, written once in _check_ints: every symbol, digit,
-message index and shuffler symbol a caller passes is read through
+The integer rule: every integer a caller passes is read through
 operator.index, so a bool counts as its int and a float (even 1.0), a
-string or None is refused, and it must lie in [0, bound); a breach raises
-ParameterError (a ValueError) naming the value. Every count, length,
-stage, base and order a caller passes is read by the same rule through
-_index_ints, and its range is checked where it is used.
+string or None is refused as ParameterError (a ValueError) naming the
+value. _check_ints applies it to every symbol, digit, message index and
+shuffler symbol, which must lie in [0, bound); _at_least applies it to
+every count, length, stage, base, order and budget, which must reach a
+lower bound, and names the parameter in either refusal. An upper bound,
+or one relating two parameters, is checked where it is used.
 
 validate_permutation is the one permutation check. It returns the word's
 inverse, built in the same pass that checks the word, so a caller that
@@ -83,26 +84,39 @@ def _check_ints(values: Iterable[int], bound: int, name: str = "symbol") -> tupl
             break
     else:
         return values
-    values = _index_ints(values, name)
-    for v in values:
-        if not 0 <= v < bound:
-            raise ParameterError(f"{name} {v} out of range [0, {bound})")
-    return values
-
-
-def _index_ints(values: Sequence[int], name: str = "parameter") -> tuple[int, ...]:
-    """
-    values read through operator.index, the integer rule without its range
-    (which the caller checks), or ParameterError naming the first value
-    operator.index refuses.
-    """
     ints = []
     for v in values:
         try:
-            ints.append(operator.index(v))
+            v = operator.index(v)
         except TypeError:
             raise ParameterError(f"{name} {v!r} is not an integer") from None
+        if not 0 <= v < bound:
+            raise ParameterError(f"{name} {v} out of range [0, {bound})")
+        ints.append(v)
     return tuple(ints)
+
+
+def _at_least(value: int, low: int, name: str) -> int:
+    """
+    value as an int >= low under the integer rule, or ParameterError
+    naming the parameter: the one reader of every size parameter.
+
+    >>> _at_least(True, 1, "n")
+    1
+    >>> _at_least(0, 1, "n")
+    Traceback (most recent call last):
+    ...
+    ulamcodes.errors.ParameterError: n must be >= 1, got 0
+    """
+    if type(value) is int and value >= low:
+        return value
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} {value!r} is not an integer") from None
+    if index < low:
+        raise ParameterError(f"{name} must be >= {low}, got {index}")
+    return index
 
 
 def validate_permutation(word: Sequence[int], name: str = "permutation") -> tuple[int, ...]:
@@ -145,11 +159,7 @@ def identity(n: int) -> tuple[int, ...]:
     >>> identity(4)
     (0, 1, 2, 3)
     """
-    if type(n) is not int:
-        (n,) = _index_ints((n,))
-    if n < 1:
-        raise ValueError(f"permutation length must be >= 1, got {n}")
-    return tuple(range(n))
+    return tuple(range(_at_least(n, 1, "n")))
 
 
 def inverse(word: Sequence[int]) -> tuple[int, ...]:
@@ -267,10 +277,8 @@ def to_digits(m: int, q: int, length: int) -> tuple[int, ...]:
     >>> to_digits(7, 3, 2)
     (2, 1)
     """
-    if type(q) is not int or type(length) is not int:
-        q, length = _index_ints((q, length))
-    if q < 1:
-        raise ValueError(f"base must be >= 1, got {q}")
+    if type(q) is not int or type(length) is not int or q < 1 or length < 0:
+        q, length = _at_least(q, 1, "base"), _at_least(length, 0, "length")
     (m,) = _check_ints((m,), q**length, "message index")
     digits = []
     for _ in range(length):
@@ -286,10 +294,8 @@ def from_digits(digits: Sequence[int], q: int) -> int:
     >>> from_digits((1, 0, 1), 2)
     5
     """
-    if type(q) is not int:
-        (q,) = _index_ints((q,))
-    if q < 1:
-        raise ValueError(f"base must be >= 1, got {q}")
+    if type(q) is not int or q < 1:
+        q = _at_least(q, 1, "base")
     value = 0
     for d in _check_ints(digits, q, "digit"):
         value = value * q + d

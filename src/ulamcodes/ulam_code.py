@@ -85,7 +85,7 @@ from .block_codes import BlockCode, DecodeFailure
 from .errors import ParameterError
 from .ground_set import GroundSet
 from .perm_core import (
-    _check_ints, _index_ints, from_digits, identity, to_digits, ulam_distance,
+    _at_least, _check_ints, from_digits, identity, to_digits, ulam_distance,
     validate_permutation,
 )
 
@@ -130,18 +130,8 @@ class UlamCodeParams:
     code: BlockCode
 
     def __post_init__(self):
-        try:
-            q, ell = _index_ints((self.q, self.ell))
-        except ParameterError:
-            raise ParameterError(
-                f"q and ell must be integers, got q={self.q!r}, ell={self.ell!r}"
-            ) from None
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "ell", ell)
-        if self.q < 2:
-            raise ParameterError(f"q must be >= 2, got {self.q}")
-        if self.ell < 1:
-            raise ParameterError(f"ell must be >= 1, got {self.ell}")
+        object.__setattr__(self, "q", _at_least(self.q, 2, "q"))
+        object.__setattr__(self, "ell", _at_least(self.ell, 1, "ell"))
         if self.ground.q != self.q:
             raise ParameterError(
                 f"ground set is over [{self.ground.q}], expected [{self.q}]"
@@ -211,9 +201,9 @@ def apply_stage(
         ell += 1
     if size != n:
         raise ParameterError(f"permutation length {n} is not a power of q={q}")
-    if type(stage) is not int:
-        (stage,) = _index_ints((stage,))
-    if not 1 <= stage <= ell:
+    if type(stage) is not int or stage < 1:
+        stage = _at_least(stage, 1, "stage")
+    if stage > ell:
         raise ParameterError(f"stage must be in 1..{ell}, got {stage}")
     shuffler = _check_ints(shuffler, ground.p, "shuffler symbol")
     gathers = ground.gathers

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from .block_codes import DecodeFailure
 from .channel import relocate
 from .errors import ParameterError
-from .perm_core import _index_ints, _lis_length, inverse, ulam_distance
+from .perm_core import _at_least, _lis_length, inverse, ulam_distance
 from .ulam_code import UlamCodeParams, decode, encode
 
 PAIR_BUDGET = 10_000_000
@@ -90,9 +90,7 @@ def audit_pairwise(
     required with sample_pairs and refused without it.
     """
     if sample_pairs is not None:
-        (sample_pairs,) = _index_ints((sample_pairs,))
-        if sample_pairs < 1:
-            raise ParameterError(f"sample_pairs must be >= 1, got {sample_pairs}")
+        sample_pairs = _at_least(sample_pairs, 1, "sample_pairs")
     if sample_pairs is None and seed is not None:
         raise ParameterError("a seed needs sample_pairs: the exhaustive audit draws nothing")
     start = time.monotonic()
@@ -207,10 +205,9 @@ def decoder_sweep(
     guarantee must recover its message; such trials failing (or decoding
     to a different message) count as radius violations.
     """
-    (trials,) = _index_ints((trials,))
-    t_values = _index_ints(t_values)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    trials = _at_least(trials, 1, "trials")
+    # every t is read before the first trial runs
+    t_values = [_at_least(t, 0, "t") for t in t_values]
     if not t_values:
         raise ParameterError("t_values must hold at least one relocation count")
     start = time.monotonic()

@@ -11,11 +11,14 @@ benchmark instance under stage-targeted noise:
 - any other input decodes to DecodeFailure or to a codeword strictly
   within distance_bound/4 of it;
 - decode never raises.
+
+Along a geodesic between two codewords, every step is checked the same way.
 """
 import itertools
+from bisect import bisect_left
 from functools import cache
 
-from hypothesis import example, given, note, settings
+from hypothesis import assume, example, given, note, settings
 from hypothesis import strategies as st
 
 import ulamcodes as uc
@@ -155,6 +158,63 @@ def test_arbitrary_permutations(params, data):
             word = uc.encode(x, params)
             if uc.ulam_distance(pi, word) < params.decode_guarantee:
                 assert result == uc.DecodeResult(x, word)
+
+
+def lcs_symbols(a, b):
+    """
+    The symbols of one longest common subsequence of two strings over one
+    symbol set: patience sorting of b relabeled by positions in a, with a
+    back-pointer from each symbol to the top of the pile on its left when it
+    was placed, walked back from the top of the last pile.
+    """
+    pos = {s: i for i, s in enumerate(a)}
+    top_values, top_indices, back = [], [], []
+    for j, s in enumerate(b):
+        k = bisect_left(top_values, pos[s])
+        back.append(top_indices[k - 1] if k else None)
+        if k == len(top_values):
+            top_values.append(pos[s])
+            top_indices.append(j)
+        else:
+            top_values[k], top_indices[k] = pos[s], j
+    symbols = set()
+    j = top_indices[-1] if top_indices else None
+    while j is not None:
+        symbols.add(b[j])
+        j = back[j]
+    return symbols
+
+
+@given(instances(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_codeword_geodesics(params, data):
+    assume(params.message_count >= 2)
+    x = data.draw(st.integers(0, params.message_count - 1), label="start")
+    y = data.draw(st.integers(0, params.message_count - 2), label="target")
+    y += y >= x
+    start, target = uc.encode(x, params), uc.encode(y, params)
+    kept = lcs_symbols(start, target)
+    assert len(kept) == uc.lcs_length(start, target)
+    distance = params.n - len(kept)
+    word = list(start)
+    step = 0
+    # each symbol outside the LCS goes right after its predecessor in target,
+    # which is already in place, so the common subsequence grows by one
+    for i, s in enumerate(target):
+        if s in kept:
+            continue
+        word.remove(s)
+        word.insert(word.index(target[i - 1]) + 1 if i else 0, s)
+        step += 1
+        pi = tuple(word)
+        assert uc.ulam_distance(pi, target) == distance - step
+        result = uc.decode(pi, params)
+        assert_contract(params, pi, result)
+        if step < params.decode_guarantee:
+            assert result == uc.DecodeResult(x, start)
+        if distance - step < params.decode_guarantee:
+            assert result == uc.DecodeResult(y, target)
+    assert step == distance and tuple(word) == target
 
 
 # the decode-gv64 benchmark instance: q = 8, ell = 2, n = 64, a shuffler code

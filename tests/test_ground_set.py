@@ -218,9 +218,14 @@ class TestBruteForce:
         assert len(draws) == 7
 
     @pytest.mark.parametrize("seed", [None, 1])
-    def test_negative_budget_draws_nothing(self, seed):
-        with pytest.raises(ParameterError, match="search exhausted with 0 permutations"):
+    def test_negative_budget_draws_nothing(self, monkeypatch, seed):
+        # refused by name before any candidate is made, in both modes; it was
+        # once refused only as an exhausted search
+        candidates = []
+        monkeypatch.setattr(ground_set, "inverse", candidates.append)
+        with pytest.raises(ParameterError, match=re.escape("sample_budget must be >= 1, got -1")):
             brute_force_ground_set(4, 1, 3, seed=seed, sample_budget=-1)
+        assert candidates == []
 
     def test_random_mode_deterministic(self):
         a = brute_force_ground_set(5, 3, 2, seed=17, sample_budget=5000)

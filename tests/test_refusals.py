@@ -8,7 +8,7 @@ import re
 import pytest
 
 import ulamcodes as uc
-from ulamcodes import cli
+from ulamcodes import block_codes, cli, verify
 from ulamcodes.block_codes import ExplicitCode, IdentityCode, ReedSolomonCode, hamming_distance
 from ulamcodes.errors import ParameterError
 from ulamcodes.fields import Field
@@ -35,7 +35,7 @@ REFUSALS = {
     ),
     "ExplicitCode alphabet": (
         lambda tmp: ExplicitCode(1, [(0,)]), ParameterError,
-        "alphabet size must be >= 2, got 1",
+        "alphabet_size must be >= 2, got 1",
     ),
     "ExplicitCode empty": (
         lambda tmp: ExplicitCode(2, []), ParameterError,
@@ -47,15 +47,23 @@ REFUSALS = {
     ),
     "IdentityCode alphabet": (
         lambda tmp: IdentityCode(1, 3), ParameterError,
-        "identity code needs alphabet >= 2 and length >= 1",
+        "alphabet_size must be >= 2, got 1",
     ),
     "explicit-code file header": (
         lambda tmp: uc.load_explicit_code(written(tmp, "2 3\n0 0 0\n")), ValueError,
         "bad explicit-code header in ",
     ),
     "random_permutation length": (
-        lambda tmp: uc.random_permutation(0, 1), ValueError,
-        "permutation length must be >= 1, got 0",
+        lambda tmp: uc.random_permutation(0, 1), ParameterError,
+        "n must be >= 1, got 0",
+    ),
+    "relocate t above n": (
+        lambda tmp: uc.relocate(uc.identity(4), 5, 1), ValueError,
+        "relocation count must be in 0..4, got 5",
+    ),
+    "apply_stage stage above ell": (
+        lambda tmp: uc.apply_stage(uc.identity(16), 3, (0,) * 4, Q4_GROUND), ParameterError,
+        "stage must be in 1..2, got 3",
     ),
     "config line": (
         lambda tmp: cli.load_config_file(written(tmp, "q=4\nell 2\n")), ParameterError,
@@ -90,8 +98,22 @@ REFUSALS = {
         "disagrees with header",
     ),
     "from_digits base": (
-        lambda tmp: uc.from_digits((0,), 0), ValueError,
+        lambda tmp: uc.from_digits((0,), 0), ParameterError,
         "base must be >= 1, got 0",
+    ),
+    # a negative length used to give no digits
+    "to_digits length": (
+        lambda tmp: uc.to_digits(0, 2, -1), ParameterError,
+        "length must be >= 0, got -1",
+    ),
+    # a budget below 1 used to draw nothing and be refused as an empty set
+    "brute-force sample_budget": (
+        lambda tmp: uc.brute_force_ground_set(4, None, 1, sample_budget=-5), ParameterError,
+        "sample_budget must be >= 1, got -5",
+    ),
+    "brute-force sampled sample_budget": (
+        lambda tmp: uc.brute_force_ground_set(4, None, 1, seed=1, sample_budget=-5),
+        ParameterError, "sample_budget must be >= 1, got -5",
     ),
     "UlamCodeParams q": (
         lambda tmp: uc.UlamCodeParams(1, 2, Q4_GROUND, Q4_CODE), ParameterError,
@@ -184,3 +206,24 @@ def test_named_refusal(tmp_path, call, error, message):
     with pytest.raises(error, match=re.escape(message)) as exc:
         call(tmp_path)
     assert type(exc.value) is error
+
+
+def test_gv_search_refuses_its_alphabet_before_searching(monkeypatch):
+    # the alphabet was once refused only by the ExplicitCode the search built
+    def built(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(block_codes, "ExplicitCode", built)
+    with pytest.raises(ParameterError, match=re.escape("alphabet_size must be >= 2, got 1")):
+        uc.greedy_gv_code(1, 4, 1)
+
+
+def test_sweep_refuses_a_negative_t_before_any_trial(monkeypatch):
+    # relocate once refused t = -1 only after every trial of t = 2 had run
+    def encoded(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(verify, "encode", encoded)
+    params = uc.UlamCodeParams(4, 2, Q4_GROUND, Q4_CODE)
+    with pytest.raises(ParameterError, match=re.escape("t must be >= 0, got -1")):
+        uc.decoder_sweep(params, [2, -1], 3, 1)

@@ -793,7 +793,9 @@ class TestParamsAndBounds:
     @pytest.mark.parametrize("q, ell", [(8.0, 2), (8, 2.0), (8, "2"), (None, 2)])
     def test_refuses_non_integer_q_or_ell(self, q, ell):
         ground = uc.xor_ground_set(8, uc.greedy_gv_code(2, 3, 2))
-        with pytest.raises(ParameterError, match="q and ell must be integers"):
+        # the refusal names the first parameter that is not an integer
+        name, bad = ("q", q) if type(q) is not int else ("ell", ell)
+        with pytest.raises(ParameterError, match=re.escape(f"{name} {bad!r} is not an integer")):
             uc.UlamCodeParams(q=q, ell=ell, ground=ground, code=uc.greedy_gv_code(4, 8, 5))
 
     def test_reads_q_and_ell_by_the_integer_rule(self):
